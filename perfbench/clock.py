@@ -9,17 +9,15 @@ probes' mean: the result is the operation's duration in *reference
 seconds*, the time it would take on a host running the probe in
 ``REFERENCE_PROBE_S``.  The raw wall times are kept for the record.
 
-Work that spans processes and both cores (the serve loop) is scaled
-instead by :class:`HostSpeed`: probes sampled on a background thread all
-through the loop, timed in thread CPU time so that they measure the
-host's speed rather than the loop's own load.
+Work that spans processes (the serve loop) is scaled instead by
+:class:`HostSpeed`: probes run all through the loop by the client itself,
+between requests, so a probe never delays a timed request.
 """
 
 from __future__ import annotations
 
 import statistics
-import threading
-from time import perf_counter, thread_time
+from time import perf_counter
 
 import numpy as np
 
@@ -61,26 +59,18 @@ class Timed:
 
 
 class HostSpeed:
-    """Samples the probe every ``interval`` seconds on a daemon thread."""
+    """The probe, run by :meth:`tick` at most every ``interval`` seconds."""
 
     def __init__(self, interval: float = 0.05):
         self.samples: list[float] = []
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, args=(interval,), daemon=True
-        )
+        self._interval = interval
+        self._next = perf_counter()
 
-    def _run(self, interval: float) -> None:
-        while not self._stop.wait(interval):
-            self.samples.append(probe(thread_time))
-
-    def __enter__(self) -> "HostSpeed":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join()
+    def tick(self) -> None:
+        """Call between timed operations; probes when the interval is up."""
+        if perf_counter() >= self._next:
+            self.samples.append(probe())
+            self._next = perf_counter() + self._interval
 
     @property
     def scale(self) -> float:

@@ -34,7 +34,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKLOADS = ("kpp-complete", "ring-rounds", "claims-mix", "serve-mixed")
-SETUP_LAUNCHES = 3
+SETUP_LAUNCHES = 5
 
 
 def _units() -> tuple[dict, dict]:
@@ -119,16 +119,17 @@ def host_record() -> dict:
 
 
 def sweep_metrics(raw: dict, setup: list[float]) -> dict:
-    from sweeps import percentile
+    from sweeps import windowed_percentile
 
     hot = raw["hot_s"]
     return {
         "setup_s": statistics.median(setup),
-        "sweep_s": statistics.median(raw["pass_s"]),
+        # A typical pass: each call at its median over the run's passes.
+        "sweep_s": sum(statistics.median(times) for times in raw["call_s"]),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "ok_ratio": 1.0 - raw["failed"] / raw["attempted"],
-        "req_s.p50": statistics.median(hot),
-        "req_s.p99": percentile(hot, 0.99),
+        "req_s.p50": windowed_percentile(hot, 0.5),
+        "req_s.p99": windowed_percentile(hot, 0.99),
         "req_per_s": len(hot) / sum(hot),
         "cold_s.p50": statistics.median(raw["cold_s"]),
     }
@@ -138,9 +139,6 @@ def run_sweep_workload(args, env, work) -> tuple[dict, dict, list]:
     from layers import SpanSet, Tracer, layer_metrics
     from sweeps import run_sweeps
 
-    # One core for the whole run: the probes then time the core the work
-    # runs on (the cores of a shared host drift independently).
-    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     setup = time_setup(env)
     tracer = Tracer() if args.trace else None
     raw = run_sweeps(
@@ -170,7 +168,7 @@ def run_sweep_workload(args, env, work) -> tuple[dict, dict, list]:
 def run_serve_workload(args, env, work) -> tuple[dict, dict, list]:
     from layers import SpanSet, hot_engine_seconds, layer_metrics, load_dumps
     from serve_load import loop_summary, run_serve
-    from sweeps import percentile
+    from sweeps import windowed_percentile
 
     raw = run_serve(
         str(HERE), env, str(work), args.seed, args.seconds,
@@ -189,9 +187,9 @@ def run_serve_workload(args, env, work) -> tuple[dict, dict, list]:
         "sweep_s": statistics.median(raw["prewarm_s"]),
         "peak_rss_mb": raw["peak_rss_mb"],
         "ok_ratio": 1.0 - failed / attempted,
-        "req_s.p50": statistics.median(loop.hot_s) * scale,
-        "req_s.p99": percentile(loop.hot_s, 0.99) * scale,
-        "req_per_s": len(loop.hot_s) / (loop.wall_s * scale),
+        "req_s.p50": windowed_percentile(loop.hot_s, 0.5) * scale,
+        "req_s.p99": windowed_percentile(loop.hot_s, 0.99) * scale,
+        "req_per_s": len(loop.hot_s) / (sum(loop.hot_s) * scale),
         "cold_s.p50": statistics.median(loop.cold_s) * scale if loop.cold_s else 0.0,
     }
     if args.trace:
@@ -229,6 +227,11 @@ def main(argv=None) -> int:
     for key in [k for k in os.environ if k.startswith("REPRO_")]:
         del os.environ[key]
     os.environ.update({k: v for k, v in env.items() if k.startswith("REPRO_")})
+    # One core for the whole run, inherited by every process it starts: the
+    # probes then time the core the work runs on (the cores of a shared host
+    # drift independently), and the serve client, server and fabric workers
+    # hand off on one core instead of waking each other across cores.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     try:
         load_before = os.getloadavg()
         probe_before = host_speed()

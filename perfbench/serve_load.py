@@ -4,11 +4,12 @@ Set-up pre-warms an on-disk result store with a working set of small
 catalogue sweeps, computed with ``run_scenario(jobs=1)``.  The server
 runs in its own process, launched by ``serve_entry.py``; its tier-1 run
 cache holds half the working set, so hot answers split between the
-memory and store tiers.  Two client threads (one per core) each send a
-request, wait for the reply, then send the next.  A small seeded share
-of requests carries a fresh seed (every 500th of each client, from a
-seeded offset): those are cold, run as fabric jobs, and are timed from
-submit until the poll reports them done.
+memory and store tiers.  One client sends a request, waits for the reply,
+then sends the next; between requests it runs the host-speed probe
+(``clock.HostSpeed``), so no probe ever delays a timed request.  A small
+seeded share of requests carries a fresh seed (every ``COLD_EVERY``th,
+from a seeded offset): those are cold, run as fabric jobs, and are timed
+from submit until their events stream ends and the result is fetched.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import signal
 import statistics
 import subprocess
 import sys
-import threading
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
 
@@ -40,12 +40,10 @@ HOT_FAMILIES = (
 )
 COLD_FAMILY = ("ring-le/lcr", (16, 32))
 TRIALS = 2
-COLD_EVERY = 500  # each client's every 500th request (seeded offset) is cold
-POLL_S = 0.02
-CLIENTS = 2
-LAUNCHES = 3
-PREWARM_PASSES = 3
-VERIFY_EVERY = 97  # every 97th hot reply of a client is re-checked
+COLD_EVERY = 300  # every 300th request (seeded offset) is cold
+LAUNCHES = 5
+PREWARM_PASSES = 5
+VERIFY_EVERY = 97  # every 97th hot reply is re-checked
 VERIFY_MAX = 12
 
 
@@ -86,7 +84,6 @@ class LoopResult:
     problems: list = field(default_factory=list)
     verify: list = field(default_factory=list)  # (request, trial sets json)
     wall_s: float = 0.0
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def working_set(seed: int, smoke: bool) -> list[Request]:
@@ -162,51 +159,35 @@ def _cold(port: int, request: Request, out: LoopResult) -> None:
     if status != 202:
         raise RuntimeError(f"cold submit returned {status}: {reply}")
     location = reply["location"]
-    while True:
-        status, reply = call(port, "GET", location)
-        if status != 200:
-            raise RuntimeError(f"poll returned {status}: {reply}")
-        if reply["state"] in ("done", "failed"):
-            break
-        sleep(POLL_S)
-    if reply["state"] != "done":
-        raise RuntimeError(f"cold job failed: {reply.get('error')}")
+    # The events stream ends when the job does, so the client waits without
+    # polling: polls would take the core from the job they wait for.
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("GET", f"{location}/events")
+        response = conn.getresponse()
+        response.read()
+        if response.status != 200:
+            raise RuntimeError(f"events stream returned {response.status}")
+    finally:
+        conn.close()
+    status, reply = call(port, "GET", location)
+    if status != 200 or reply.get("state") != "done":
+        raise RuntimeError(f"cold job ended {status} {reply.get('state')}: {reply.get('error')}")
+    out.cold_s.append(perf_counter() - start)
+    out.verify.append((request, reply["run"]["trial_sets"]))
+
+
+def _hot(port: int, request: Request, out: LoopResult, sent: int) -> None:
+    start = perf_counter()
+    status, reply = call(port, "POST", "/v1/runs", request.body())
     elapsed = perf_counter() - start
-    with out.lock:
-        out.cold_s.append(elapsed)
+    tier = reply.get("tier")
+    if status != 200 or tier not in ("memory", "store"):
+        raise RuntimeError(f"hot request got {status} tier={tier}")
+    out.hot_s.append(elapsed)
+    out.tiers[tier] = out.tiers.get(tier, 0) + 1
+    if sent % VERIFY_EVERY == 0 and len(out.verify) < VERIFY_MAX:
         out.verify.append((request, reply["run"]["trial_sets"]))
-
-
-def _client(port, seed, index, hot, deadline, out: LoopResult, cold_counter) -> None:
-    rng = np.random.default_rng([seed, 3, index])
-    sent = int(rng.integers(COLD_EVERY))
-    while perf_counter() < deadline:
-        sent += 1
-        with out.lock:
-            out.attempted += 1
-        try:
-            if sent % COLD_EVERY == 0:
-                with out.lock:
-                    k = next(cold_counter)
-                name, sizes = COLD_FAMILY
-                _cold(port, Request(name, sizes, derive_seed(seed, 2, k)), out)
-                continue
-            request = hot[int(rng.integers(len(hot)))]
-            start = perf_counter()
-            status, reply = call(port, "POST", "/v1/runs", request.body())
-            elapsed = perf_counter() - start
-            tier = reply.get("tier")
-            if status != 200 or tier not in ("memory", "store"):
-                raise RuntimeError(f"hot request got {status} tier={tier}")
-            with out.lock:
-                out.hot_s.append(elapsed)
-                out.tiers[tier] = out.tiers.get(tier, 0) + 1
-                if sent % VERIFY_EVERY == 0 and len(out.verify) < VERIFY_MAX:
-                    out.verify.append((request, reply["run"]["trial_sets"]))
-        except (OSError, http.client.HTTPException, RuntimeError, KeyError, ValueError) as exc:
-            with out.lock:
-                out.failed += 1
-                out.problems.append(f"{type(exc).__name__}: {exc}")
 
 
 def closed_loop(
@@ -218,21 +199,25 @@ def closed_loop(
         if status != 200:
             out.failed += 1
             out.problems.append(f"warm-up got {status} for {request}")
+    rng = np.random.default_rng([seed, 3])
+    sent = int(rng.integers(COLD_EVERY))
+    speed = HostSpeed()
     start = perf_counter()
     deadline = start + seconds
-    speed = HostSpeed()
-    threads = [
-        threading.Thread(
-            target=_client,
-            args=(port, seed, index, hot, deadline, out, cold_counter),
-        )
-        for index in range(CLIENTS)
-    ]
-    with speed:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+    while perf_counter() < deadline:
+        speed.tick()
+        sent += 1
+        out.attempted += 1
+        try:
+            if sent % COLD_EVERY == 0:
+                name, sizes = COLD_FAMILY
+                request = Request(name, sizes, derive_seed(seed, 2, next(cold_counter)))
+                _cold(port, request, out)
+            else:
+                _hot(port, hot[int(rng.integers(len(hot)))], out, sent)
+        except (OSError, http.client.HTTPException, RuntimeError, KeyError, ValueError) as exc:
+            out.failed += 1
+            out.problems.append(f"{type(exc).__name__}: {exc}")
     out.wall_s += perf_counter() - start
     out.scales.append(speed.scale)
 

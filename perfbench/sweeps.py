@@ -294,6 +294,7 @@ def run_sweeps(
     hot = _HotCalls(run_scenario, store, seed)
     plan = calls(passes(workload, smoke))
     pass_s, pass_raw_s, traced_s, cold_s = [], [], [], []
+    call_s: dict[int, list[float]] = {}  # untraced times per pass position
     problems: list[str] = []
     claims: dict[str, list[bool]] = {}
     attempted = failed = 0
@@ -324,6 +325,8 @@ def run_sweeps(
                     tracer.uninstall()
             ref_s += timed.ref_s
             raw_s += timed.raw_s
+            if not traced:
+                call_s.setdefault(position, []).append(timed.ref_s)
             if not traced and (sweep, n) == plan[0]:
                 cold_s.append(timed.ref_s)
             bad = sweep_problems(sweep, run)
@@ -358,6 +361,7 @@ def run_sweeps(
     return {
         "pass_s": pass_s,
         "pass_raw_s": pass_raw_s,
+        "call_s": [call_s[position] for position in sorted(call_s)],
         "traced_pass_raw_s": traced_s,
         "traced_passes": len(traced_s),
         "cold_s": cold_s,
@@ -375,3 +379,20 @@ def percentile(values: list[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
     return ordered[min(rank, len(ordered)) - 1]
+
+
+#: Consecutive latency samples per window of :func:`windowed_percentile`.
+TAIL_WINDOW = 500
+
+
+def windowed_percentile(values: list[float], q: float) -> float:
+    """Median over consecutive ``TAIL_WINDOW``-sample windows of their percentile.
+
+    A burst of host noise raises the tail of the windows it falls in, not
+    the median of all windows.  Samples short of a full window form one.
+    """
+    windows = [
+        values[i : i + TAIL_WINDOW]
+        for i in range(0, len(values) - TAIL_WINDOW + 1, TAIL_WINDOW)
+    ] or [values]
+    return statistics.median(percentile(window, q) for window in windows)
