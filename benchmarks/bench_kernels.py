@@ -15,7 +15,7 @@ Three stages, each gated on bit-identity before any number is reported:
   — C_n and K_n route through pure port arithmetic.
 
 Results land in ``BENCH_kernels.json`` at the repo root.  CI runs
-``--smoke`` (parity + speedup floor, small sizes, no file write).
+``--smoke`` (all three stages at small sizes, no file write).
 
 Usage::
 
@@ -49,6 +49,7 @@ from repro.classical.leader_election.ring import (
     lcr_ring,
 )
 from repro.classical.mst_boruvka import boruvka_mst_engine
+from repro.core.candidates import CandidateDraw
 from repro.network import graphs
 from repro.network.engine import SynchronousEngine
 from repro.network.kernels import numba_available, resolve_kernel
@@ -64,6 +65,9 @@ OUTPUT = REPO_ROOT / "BENCH_kernels.json"
 TARGET_SPEEDUP = 2.0
 
 MILLION = 1_000_000
+
+#: Smoke-mode size of the million-node stage.
+MILLION_SMOKE = 4096
 
 
 def _kernel_tiers() -> list[str]:
@@ -267,10 +271,10 @@ def run_speedups(smoke: bool) -> list[dict]:
 # -- stage 3: million-node rounds ---------------------------------------------
 
 
-def _million_lcr(kernel: str, max_rounds: int = 64):
+def _million_lcr(kernel: str, n: int = MILLION, max_rounds: int = 64):
     """C_1e6 Chang–Roberts, round budget capped (full election is Θ(n))."""
-    topology = graphs.cycle(MILLION)
-    ids = (np.random.default_rng(5).permutation(MILLION) + 1).astype(np.int64)
+    topology = graphs.cycle(n)
+    ids = (np.random.default_rng(5).permutation(n) + 1).astype(np.int64)
     program = _LCRBatch(topology, ids)
     metrics = MetricsRecorder()
     engine = SynchronousEngine(
@@ -283,10 +287,10 @@ def _million_lcr(kernel: str, max_rounds: int = 64):
     return seconds, metrics, fingerprint
 
 
-def _million_hs(kernel: str, max_rounds: int = 48):
+def _million_hs(kernel: str, n: int = MILLION, max_rounds: int = 48):
     """C_1e6 Hirschberg–Sinclair, capped mid-election."""
-    topology = graphs.cycle(MILLION)
-    ids = (np.random.default_rng(6).permutation(MILLION) + 1).astype(np.int64)
+    topology = graphs.cycle(n)
+    ids = (np.random.default_rng(6).permutation(n) + 1).astype(np.int64)
     program = _HSBatch(topology, ids)
     metrics = MetricsRecorder()
     engine = SynchronousEngine(
@@ -304,26 +308,24 @@ def _million_hs(kernel: str, max_rounds: int = 48):
     return seconds, metrics, fingerprint
 
 
-def _million_kpp(kernel: str, candidates: int = 16):
+def _million_kpp(kernel: str, n: int = MILLION, candidates: int = 16):
     """K_1e6 KPP, full four-round trial with directly seeded candidates.
 
-    The driver's per-node candidate lottery is Θ(n) Python-loop setup, so
-    the bench seeds exactly ``candidates`` candidate nodes (with real RNG
-    streams for their referee draws) and runs the engine end to end.
+    The driver's candidate lottery is one column draw and would run at
+    n = 10⁶; what blocks the driver there is its rank space {1, …, n⁴},
+    which overflows the port's int64 rank column past n = 55,108.  So
+    the bench seeds ``candidates`` candidates with ranks below 2⁴⁰ (and
+    real per-candidate streams for their referee draws) and runs the
+    engine end to end.
     """
-    n = MILLION
     topology = CompleteTopology(n)
     referees = default_referees_complete(n)
     picker = np.random.default_rng(8)
-    chosen = np.sort(picker.choice(n, size=candidates, replace=False))
-    rngs: list = [None] * n
-    seed_rng = RandomSource(31)
-    for v in chosen.tolist():
-        rngs[v] = seed_rng.spawn()
-    program = _KPPBatch(n, rngs, referees)
-    program.is_candidate[chosen] = True
-    program.rank[chosen] = picker.integers(1, 2**40, size=candidates)
-    program.status_codes[~program.is_candidate] = 2  # STATUS_NON_ELECTED
+    chosen = np.sort(picker.choice(n, size=candidates, replace=False)).tolist()
+    ranks = picker.integers(1, 2**40, size=candidates).tolist()
+    draw = CandidateDraw(n=n, candidates=chosen, ranks=dict(zip(chosen, ranks)))
+    streams = dict(zip(chosen, RandomSource(31).spawn_many(candidates)))
+    program = _KPPBatch(n, draw, streams, referees)
     metrics = MetricsRecorder()
     engine = SynchronousEngine(
         topology, program, metrics, label="bench-kpp", kernel=kernel
@@ -343,14 +345,14 @@ MILLION_GRID = [
 ]
 
 
-def run_million() -> list[dict]:
+def run_million(n: int) -> list[dict]:
     rows = []
     for name, family, runner, note in MILLION_GRID:
         tiers = _kernel_tiers()
         timings = {}
         fingerprints = {}
         for tier in tiers:
-            seconds, metrics, fingerprints[tier] = runner(tier)
+            seconds, metrics, fingerprints[tier] = runner(tier, n)
             timings[tier] = {
                 "rounds": metrics.rounds,
                 "messages": metrics.messages,
@@ -360,12 +362,12 @@ def run_million() -> list[dict]:
             }
         if len(set(fingerprints.values())) != 1:
             raise AssertionError(
-                f"{name} (n=1e6) diverged across kernel tiers: {fingerprints}"
+                f"{name} (n={n}) diverged across kernel tiers: {fingerprints}"
             )
         row = {
             "protocol": name,
             "topology": family,
-            "n": MILLION,
+            "n": n,
             "note": note,
             "edges_materialized": False,
             "tiers": timings,
@@ -378,7 +380,7 @@ def run_million() -> list[dict]:
         rows.append(row)
         base = timings["numpy"]
         print(
-            f"million {name:<24} {family:<9} "
+            f"million {name:<24} {family:<9} n={n:<7} "
             f"{base['rounds']} rounds, {base['messages']:,} msgs in "
             f"{base['seconds']}s  ({base['messages_per_sec']:,.0f} msg/s)"
         )
@@ -402,9 +404,8 @@ def run_bench(smoke: bool) -> dict:
         },
         "parity": run_parity(smoke),
         "speedups": run_speedups(smoke),
+        "million_node": run_million(MILLION_SMOKE if smoke else MILLION),
     }
-    if not smoke:
-        payload["million_node"] = run_million()
     return payload
 
 

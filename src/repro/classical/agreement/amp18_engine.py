@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.candidates import candidate_probability
+from repro.core.candidates import draw_candidates
 from repro.core.results import AgreementResult
 from repro.network.batch import BatchProtocol, MessageBatch, wants_batch_dispatch
 from repro.network.engine import SynchronousEngine
@@ -234,17 +234,23 @@ class _AMP18Batch(BatchProtocol):
     """Array-native implementation: SoA columns, one numpy pass per round.
 
     Column state: ``inputs``, ``is_candidate``, ``estimate``, ``informed``
-    plus the inherited ``decisions``/``halted``.  Per-node RNG draws
-    (referee samples, detection probes) loop only over the Θ(log n)
-    candidates; everything message-shaped is grouped reductions on the
-    inbox batch.
+    plus the inherited ``decisions``/``halted``.  Private draws (referee
+    samples, detection probes) loop only over the Θ(log n) candidates,
+    each on the same stream as its scalar :class:`_AMP18Node`; everything
+    message-shaped is grouped reductions on the inbox batch.
     """
 
-    def __init__(self, schedule: _Schedule, rngs, inputs, is_candidate):
+    def __init__(
+        self,
+        schedule: _Schedule,
+        streams: dict[int, RandomSource],
+        inputs,
+        is_candidate,
+    ):
         n = schedule.n
         super().__init__(n)
         self.schedule = schedule
-        self.rngs = rngs
+        self.streams = streams
         self.inputs = np.asarray(inputs, dtype=np.int64)
         self.is_candidate = np.asarray(is_candidate, dtype=bool)
         self.estimate = np.zeros(n, dtype=np.float64)
@@ -299,7 +305,7 @@ class _AMP18Batch(BatchProtocol):
             if not len(cands):
                 return None
             chunks = [
-                self.rngs[v].sample_without_replacement(n - 1, cfg.samples)
+                self.streams[v].sample_without_replacement(n - 1, cfg.samples)
                 for v in cands.tolist()
             ]
             senders = np.repeat(cands, cfg.samples)
@@ -369,7 +375,7 @@ class _AMP18Batch(BatchProtocol):
                     np.full(cfg.inform_width, self.decisions[v], dtype=np.int64)
                 )
             else:
-                ports = self.rngs[v].sample_without_replacement(
+                ports = self.streams[v].sample_without_replacement(
                     n - 1, cfg.probes
                 )
                 sender_chunks.append(np.full(cfg.probes, v, dtype=np.int64))
@@ -395,6 +401,10 @@ def classical_agreement_engine(
 ) -> AgreementResult:
     """Run the engine-driven [AMP18] shared-coin agreement on K_n.
 
+    Candidacy comes from one :func:`draw_candidates` lottery on a child
+    of ``rng``; only the candidates, which go on to sample and probe, get
+    private streams (``rng.spawn_many`` in ascending candidate order).
+
     ``adversary`` (an optional :class:`~repro.adversary.AdversarySpec`)
     injects engine-level message/crash faults — input schedules are
     applied by the caller when building ``inputs``.  ``node_api`` selects
@@ -418,15 +428,17 @@ def classical_agreement_engine(
     if shared_coin is None:
         shared_coin = SharedCoin(rng.spawn())
     schedule = _Schedule.build(n, shared_coin, epsilon, inform_width)
-    node_rngs = rng.spawn_many(n)
-    probability = candidate_probability(n)
-    is_candidate = [node_rngs[v].bernoulli(probability) for v in range(n)]
+    draw = draw_candidates(n, rng.spawn())
+    streams = dict(zip(draw.candidates, rng.spawn_many(draw.count)))
+    is_candidate = np.zeros(n, dtype=bool)
+    is_candidate[draw.candidates] = True
     if wants_batch_dispatch(node_api):
-        program = _AMP18Batch(schedule, node_rngs, inputs, is_candidate)
+        program = _AMP18Batch(schedule, streams, inputs, is_candidate)
     else:
         program = [
             _AMP18Node(
-                v, n - 1, node_rngs[v], schedule, inputs[v], is_candidate[v]
+                v, n - 1, streams.get(v), schedule, inputs[v],
+                bool(is_candidate[v]),
             )
             for v in range(n)
         ]
@@ -440,16 +452,14 @@ def classical_agreement_engine(
         else {v: program[v].decision for v in range(n)}
     )
     meta = {
-        "candidates": sum(is_candidate),
+        "candidates": draw.count,
         "epsilon": schedule.epsilon,
         "inform_width": schedule.inform_width,
         "samples": schedule.samples,
         "probes": schedule.probes,
         "iterations": schedule.iterations,
         "undecided_at_end": sum(
-            1
-            for v in range(n)
-            if is_candidate[v] and decisions[v] is None
+            1 for v in draw.candidates if decisions[v] is None
         ),
     }
     meta.update(engine.accounting_meta())

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from repro.core.candidates import candidate_probability, rank_space
+from repro.core.candidates import CandidateDraw, draw_candidates
 from repro.core.results import LeaderElectionResult
 from repro.network.batch import (
     STATUS_ELECTED,
@@ -49,19 +49,21 @@ def default_referees_complete(n: int) -> int:
 class _KPPNode(Node):
     """Engine node for the three-round birthday protocol."""
 
-    def __init__(self, uid: int, degree: int, rng: RandomSource, referees: int):
+    def __init__(
+        self,
+        uid: int,
+        degree: int,
+        rng: RandomSource | None,
+        referees: int,
+        rank: int | None,
+    ):
         super().__init__(uid, degree, rng)
         self.referees = referees
-        self.is_candidate = False
-        self.rank = 0
+        self.is_candidate = rank is not None
+        self.rank = rank or 0
         self.best_seen = 0  # highest rank this node heard of as a referee
         self.senders: list[int] = []  # ports that sent us a rank
-
-    def start(self, probability: float, space: int) -> None:
-        self.is_candidate = self.rng.bernoulli(probability)
-        if self.is_candidate:
-            self.rank = self.rng.uniform_int(1, space)
-        else:
+        if not self.is_candidate:
             self.status = Status.NON_ELECTED
 
     def step(self, round_index: int, inbox):
@@ -105,40 +107,40 @@ _KPP_RANK, _KPP_BEST = 0, 1
 class _KPPBatch(BatchProtocol):
     """Array-native three-round birthday protocol.
 
-    Column state: ``is_candidate``, ``rank``, ``best_seen``.  Round 0
-    draws each candidate's referee ports from the *same* per-node RNG
-    streams as the scalar :class:`_KPPNode` (a short Python loop over the
-    few Θ(log n · n / n) candidates); rounds 1 and 2 are pure numpy — the
-    referee replies of round 1 are literally the inbox batch turned
-    around (``senders = receivers``) with the group-maximum rank gathered
-    in.
+    Column state: ``is_candidate``, ``rank``, ``best_seen``, filled from
+    the candidate lottery.  Round 0 draws each candidate's referee ports
+    from the *same* per-candidate streams as the scalar :class:`_KPPNode`
+    (a short Python loop over the Θ(log n) candidates); rounds 1 and 2
+    are pure numpy — the referee replies of round 1 are literally the
+    inbox batch turned around (``senders = receivers``) with the
+    group-maximum rank gathered in.
     """
 
-    def __init__(self, n: int, rngs, referees: int):
+    def __init__(
+        self,
+        n: int,
+        draw: CandidateDraw,
+        streams: dict[int, RandomSource],
+        referees: int,
+    ):
         super().__init__(n)
-        self.rngs = rngs
+        self.streams = streams
         self.referees = referees
         self.kernels = get_kernels()
         self.is_candidate = np.zeros(n, dtype=bool)
         self.rank = np.zeros(n, dtype=np.int64)
         self.best_seen = np.zeros(n, dtype=np.int64)
-
-    def start(self, probability: float, space: int) -> int:
-        """Candidate/rank draws, mirroring ``_KPPNode.start`` per stream."""
-        for v in range(self.n):
-            if self.rngs[v].bernoulli(probability):
-                self.is_candidate[v] = True
-                self.rank[v] = self.rngs[v].uniform_int(1, space)
-            else:
-                self.status_codes[v] = STATUS_NON_ELECTED
-        return int(np.count_nonzero(self.is_candidate))
+        candidates = np.asarray(draw.candidates, dtype=np.int64)
+        self.is_candidate[candidates] = True
+        self.rank[candidates] = [draw.ranks[v] for v in draw.candidates]
+        self.status_codes[~self.is_candidate] = STATUS_NON_ELECTED
 
     def step_batch(self, round_index, inbox):
         n = self.n
         if round_index == 0:
             candidates = np.nonzero(self.is_candidate & ~self.halted)[0]
             port_chunks = [
-                self.rngs[v].sample_without_replacement(n - 1, self.referees)
+                self.streams[v].sample_without_replacement(n - 1, self.referees)
                 for v in candidates.tolist()
             ]
             if not port_chunks:
@@ -184,11 +186,16 @@ def classical_le_complete(
 ) -> LeaderElectionResult:
     """Run the [KPP+15b]-style classical LE protocol on K_n.
 
+    Candidacy and ranks come from one :func:`draw_candidates` lottery on
+    a child of ``rng``; only the candidates, which go on to sample
+    referees, get private streams (``rng.spawn_many`` in ascending
+    candidate order).
+
     ``adversary`` is an optional
     :class:`~repro.adversary.AdversarySpec` applied at the engine level
     (message drop/delay/duplicate, crash-stop schedules).  Its random
-    stream derives from ``rng`` before the per-node streams, so a null
-    (or absent) spec leaves the run bit-identical to the fault-free path.
+    stream derives from ``rng`` before the lottery, so a null (or
+    absent) spec leaves the run bit-identical to the fault-free path.
 
     ``node_api`` selects the engine dispatch: ``"scalar"`` steps
     :class:`_KPPNode` instances, ``"batch"`` (or ``"auto"``) runs the
@@ -209,18 +216,15 @@ def classical_le_complete(
         if adversary is not None and not adversary.is_null
         else None
     )
-    node_rngs = rng.spawn_many(n)
-    probability = candidate_probability(n)
-    space = rank_space(n)
+    draw = draw_candidates(n, rng.spawn())
+    streams = dict(zip(draw.candidates, rng.spawn_many(draw.count)))
     if wants_batch_dispatch(node_api):
-        program = _KPPBatch(n, node_rngs, referees)
-        candidates = program.start(probability, space)
+        program = _KPPBatch(n, draw, streams, referees)
     else:
-        program = [_KPPNode(v, n - 1, node_rngs[v], referees) for v in range(n)]
-        candidates = 0
-        for node in program:
-            node.start(probability, space)
-            candidates += node.is_candidate
+        program = [
+            _KPPNode(v, n - 1, streams.get(v), referees, draw.ranks.get(v))
+            for v in range(n)
+        ]
     engine = SynchronousEngine(
         topology, program, metrics, label="kpp-le", adversary=armed
     )
@@ -232,7 +236,7 @@ def classical_le_complete(
     )
     # Candidates that never heard anything higher may tie only on rank
     # collisions (probability ≤ 1/n² — Fact C.2).
-    meta = {"candidates": candidates, "referees": referees}
+    meta = {"candidates": draw.count, "referees": referees}
     meta.update(engine.accounting_meta())
     return LeaderElectionResult(
         n=n,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.candidates import candidate_probability, rank_space
+from repro.core.candidates import CandidateDraw, draw_candidates
 from repro.core.results import LeaderElectionResult
 from repro.network.batch import (
     STATUS_ELECTED,
@@ -37,18 +37,13 @@ __all__ = ["classical_le_diameter2"]
 class _CPRNode(Node):
     """Engine node: candidates flood neighbours, referees arbitrate."""
 
-    def __init__(self, uid: int, degree: int, rng: RandomSource):
-        super().__init__(uid, degree, rng)
-        self.is_candidate = False
-        self.rank = 0
+    def __init__(self, uid: int, degree: int, rank: int | None):
+        super().__init__(uid, degree, None)
+        self.is_candidate = rank is not None
+        self.rank = rank or 0
         self.best_seen = 0
         self.senders: list[int] = []
-
-    def start(self, probability: float, space: int) -> None:
-        self.is_candidate = self.rng.bernoulli(probability)
-        if self.is_candidate:
-            self.rank = self.rng.uniform_int(1, space)
-        else:
+        if not self.is_candidate:
             self.status = Status.NON_ELECTED
 
     def step(self, round_index: int, inbox):
@@ -92,31 +87,25 @@ _CPR_RANK, _CPR_BEST = 0, 1
 class _CPRBatch(BatchProtocol):
     """Array-native three-round CPR protocol.
 
-    Column state: ``is_candidate``, ``rank``, ``best_seen``, plus the
-    per-node degree vector (one :meth:`PortTable.degrees_of` gather, no
-    per-node topology queries).  Round 0 broadcasts candidate ranks on
-    every port; round 1 turns the inbox around (``senders = receivers``)
-    with the group maximum gathered in; round 2 decides and halts.
+    Column state: ``is_candidate``, ``rank``, ``best_seen``, filled from
+    the candidate lottery, plus the per-node degree vector (one
+    :meth:`PortTable.degrees_of` gather, no per-node topology queries).
+    Round 0 broadcasts candidate ranks on every port; round 1 turns the
+    inbox around (``senders = receivers``) with the group maximum
+    gathered in; round 2 decides and halts.
     """
 
-    def __init__(self, n: int, rngs, degrees: np.ndarray):
+    def __init__(self, n: int, draw: CandidateDraw, degrees: np.ndarray):
         super().__init__(n)
-        self.rngs = rngs
         self.degrees = degrees
         self.kernels = get_kernels()
         self.is_candidate = np.zeros(n, dtype=bool)
         self.rank = np.zeros(n, dtype=np.int64)
         self.best_seen = np.zeros(n, dtype=np.int64)
-
-    def start(self, probability: float, space: int) -> int:
-        """Candidate/rank draws, mirroring ``_CPRNode.start`` per stream."""
-        for v in range(self.n):
-            if self.rngs[v].bernoulli(probability):
-                self.is_candidate[v] = True
-                self.rank[v] = self.rngs[v].uniform_int(1, space)
-            else:
-                self.status_codes[v] = STATUS_NON_ELECTED
-        return int(np.count_nonzero(self.is_candidate))
+        candidates = np.asarray(draw.candidates, dtype=np.int64)
+        self.is_candidate[candidates] = True
+        self.rank[candidates] = [draw.ranks[v] for v in draw.candidates]
+        self.status_codes[~self.is_candidate] = STATUS_NON_ELECTED
 
     def step_batch(self, round_index, inbox):
         if round_index == 0:
@@ -169,6 +158,10 @@ def classical_le_diameter2(
 ) -> LeaderElectionResult:
     """Run the classical Õ(n) LE baseline on a diameter-≤2 network.
 
+    Candidacy and ranks come from one :func:`draw_candidates` lottery on
+    a child of ``rng``; no node draws again, so none gets a private
+    stream.
+
     ``adversary`` is an optional
     :class:`~repro.adversary.AdversarySpec` applied at the engine level.
     ``node_api`` selects the engine dispatch: ``"scalar"`` steps
@@ -186,23 +179,16 @@ def classical_le_diameter2(
         if adversary is not None and not adversary.is_null
         else None
     )
-    node_rngs = rng.spawn_many(n)
+    draw = draw_candidates(n, rng.spawn())
     # One vectorized degree gather through the cached port table instead of
     # n per-node topology queries (the table is reused by the engine).
     degrees = topology.port_table().degrees_of(np.arange(n))
-    probability = candidate_probability(n)
-    space = rank_space(n)
     if wants_batch_dispatch(node_api):
-        program = _CPRBatch(n, node_rngs, degrees)
-        candidates = program.start(probability, space)
+        program = _CPRBatch(n, draw, degrees)
     else:
         program = [
-            _CPRNode(v, int(degrees[v]), node_rngs[v]) for v in range(n)
+            _CPRNode(v, int(degrees[v]), draw.ranks.get(v)) for v in range(n)
         ]
-        candidates = 0
-        for node in program:
-            node.start(probability, space)
-            candidates += node.is_candidate
 
     engine = SynchronousEngine(
         topology, program, metrics, label="cpr-le", adversary=armed
@@ -214,7 +200,7 @@ def classical_le_diameter2(
         if isinstance(program, BatchProtocol)
         else {v: program[v].status for v in range(n)}
     )
-    meta = {"candidates": candidates}
+    meta = {"candidates": draw.count}
     meta.update(engine.accounting_meta())
     return LeaderElectionResult(
         n=n,

@@ -9,7 +9,9 @@ synchronous engine with genuinely multi-round message-passing behaviour:
   worst-case messages.
 
 Identifiers come from private randomness (ranks in {1, …, n⁴}), matching the
-library-wide anonymous-network convention.
+library-wide anonymous-network convention: one column of n independent
+draws from a child of the trial's stream
+(:meth:`~repro.util.rng.RandomSource.uniform_ints`).
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ def _ring_ports(topology, v: int) -> tuple[int, int]:
 class _LCRNode(Node):
     """Chang–Roberts: forward larger ids clockwise; own id returning wins."""
 
-    def __init__(self, uid, degree, rng, ring_id: int, cw_port: int):
-        super().__init__(uid, degree, rng)
+    def __init__(self, uid, degree, ring_id: int, cw_port: int):
+        super().__init__(uid, degree, None)
         self.ring_id = ring_id
         self.cw_port = cw_port
         self.outbox: list[tuple[int, Message]] = []
@@ -112,11 +114,11 @@ class _LCRBatch(BatchProtocol):
     ``np.maximum.at`` and emits at most one message per node — the same
     per-port collapse the scalar :class:`_LCRNode` performs, expressed
     once over all nodes.  Trace-identical to the scalar implementation
-    (same RNG draws, same canonical send order, same CONGEST collapse
+    (same ids, same canonical send order, same CONGEST collapse
     priorities), which the parity property tests assert bit-for-bit.
     """
 
-    def __init__(self, topology, ring_ids: list[int]):
+    def __init__(self, topology, ring_ids: np.ndarray):
         n = topology.n
         super().__init__(n)
         self.kernels = get_kernels()
@@ -217,15 +219,13 @@ def lcr_ring(
         if adversary is not None and not adversary.is_null
         else None
     )
-    node_rngs = rng.spawn_many(n)
-    space = rank_space(n)
-    ids = [node_rngs[v].uniform_int(1, space) for v in range(n)]
+    ids = rng.spawn().uniform_ints(1, rank_space(n), n)
     if wants_batch_dispatch(node_api):
         program = _LCRBatch(topology, ids)
     else:
         program = [
-            _LCRNode(v, 2, node_rngs[v], ids[v], _ring_ports(topology, v)[0])
-            for v in range(n)
+            _LCRNode(v, 2, ring_id, _ring_ports(topology, v)[0])
+            for v, ring_id in enumerate(ids.tolist())
         ]
     engine = SynchronousEngine(
         topology, program, metrics, label="lcr", adversary=armed
@@ -239,7 +239,7 @@ def lcr_ring(
     for v in range(n):  # anyone still undecided (duplicate-id pathology)
         if statuses[v] is Status.UNDECIDED:
             statuses[v] = Status.NON_ELECTED
-    meta = {"unique_ids": len(set(ids)) == n}
+    meta = {"unique_ids": len(np.unique(ids)) == n}
     meta.update(engine.accounting_meta())
     return LeaderElectionResult(
         n=n, statuses=statuses, metrics=metrics, meta=meta,
@@ -250,8 +250,8 @@ def lcr_ring(
 class _HSNode(Node):
     """Hirschberg–Sinclair: doubling bidirectional probes."""
 
-    def __init__(self, uid, degree, rng, ring_id: int, cw_port: int, ccw_port: int):
-        super().__init__(uid, degree, rng)
+    def __init__(self, uid, degree, ring_id: int, cw_port: int, ccw_port: int):
+        super().__init__(uid, degree, None)
         self.ring_id = ring_id
         self.ports = {"cw": cw_port, "ccw": ccw_port}
         self.opposite = {cw_port: ccw_port, ccw_port: cw_port}
@@ -352,7 +352,7 @@ class _HSBatch(BatchProtocol):
     insertion order, giving the identical canonical send order.
     """
 
-    def __init__(self, topology, ring_ids: list[int]):
+    def __init__(self, topology, ring_ids: np.ndarray):
         n = topology.n
         super().__init__(n)
         self.ring_id = np.asarray(ring_ids, dtype=np.int64)
@@ -543,16 +543,14 @@ def hirschberg_sinclair_ring(
         if adversary is not None and not adversary.is_null
         else None
     )
-    node_rngs = rng.spawn_many(n)
-    space = rank_space(n)
-    ids = [node_rngs[v].uniform_int(1, space) for v in range(n)]
+    ids = rng.spawn().uniform_ints(1, rank_space(n), n)
     if wants_batch_dispatch(node_api):
         program = _HSBatch(topology, ids)
     else:
-        program = []
-        for v in range(n):
-            cw, ccw = _ring_ports(topology, v)
-            program.append(_HSNode(v, 2, node_rngs[v], ids[v], cw, ccw))
+        program = [
+            _HSNode(v, 2, ring_id, *_ring_ports(topology, v))
+            for v, ring_id in enumerate(ids.tolist())
+        ]
     engine = SynchronousEngine(
         topology, program, metrics, label="hs", adversary=armed
     )
@@ -565,7 +563,7 @@ def hirschberg_sinclair_ring(
     for v in range(n):
         if statuses[v] is Status.UNDECIDED:
             statuses[v] = Status.NON_ELECTED
-    meta = {"unique_ids": len(set(ids)) == n}
+    meta = {"unique_ids": len(np.unique(ids)) == n}
     meta.update(engine.accounting_meta())
     return LeaderElectionResult(
         n=n, statuses=statuses, metrics=metrics, meta=meta,

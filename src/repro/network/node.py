@@ -30,10 +30,11 @@ class Node:
     Subclasses override :meth:`step`, which receives the messages delivered
     this round as ``(port, Message)`` pairs and returns the messages to send
     as ``(port, Message)`` pairs.  A node that sets ``halted`` stops being
-    scheduled.
+    scheduled.  ``rng`` is the node's private stream, or ``None`` for a
+    node that draws nothing once the run starts.
     """
 
-    def __init__(self, uid: int, degree: int, rng: RandomSource):
+    def __init__(self, uid: int, degree: int, rng: RandomSource | None):
         self.uid = uid
         self.degree = degree
         self.rng = rng

@@ -69,7 +69,11 @@ DEFAULT_CACHE_MAX_ENTRIES = 4096
 #: a traffic-conditioned adversary never collides with the static spec
 #: sharing its other fields.  Fault-free keys change only by the version
 #: bump itself.
-_FORMAT_VERSION = 4
+#: v5: the per-node draws of KPP, CPR, engine-driven AMP18, LCR and HS
+#: changed (candidacy and ranks from one lottery column, ring ids from
+#: one id column, private streams only for candidates), so trial sets
+#: computed before the change are never served for the new code.
+_FORMAT_VERSION = 5
 
 
 def _default_root() -> pathlib.Path:

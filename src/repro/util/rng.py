@@ -3,8 +3,14 @@
 The paper's model gives every node access to *private* unbiased random bits,
 and (for the agreement protocol of Section 6 only) a *global shared coin*.
 ``RandomSource`` materializes that split: a root source spawns independent
-child generators — one per node — while ``SharedCoin`` wraps one generator
-that all nodes may read but none may bias.
+child generators, while ``SharedCoin`` wraps one generator that all nodes
+may read but none may bias.
+
+Private bits need not mean one generator per node.  A value every node
+draws once (a candidacy coin, a ring id) is one column from a single
+child stream — entry v is node v's draw, independent of every other
+entry — and only the few nodes that keep drawing (candidates sampling
+referees or probes) get a child stream of their own.
 """
 
 from __future__ import annotations
@@ -76,6 +82,23 @@ class RandomSource:
                 remaining -= chunk
             if value < span:
                 return low + value
+
+    def uniform_ints(self, low: int, high: int, size: int) -> np.ndarray:
+        """``size`` independent uniform integers in [low, high], as a column.
+
+        The column is int64 while the range fits it (``high`` < 2⁶³).
+        Past that it is an object array of exact Python ints, drawn one by
+        one with :meth:`uniform_int`.
+        """
+        if low > high:
+            raise ValueError(f"empty range [{low}, {high}]")
+        if -(1 << 63) <= low and high < 1 << 63:
+            return self.generator.integers(
+                low, high, size=size, dtype=np.int64, endpoint=True
+            )
+        return np.array(
+            [self.uniform_int(low, high) for _ in range(size)], dtype=object
+        )
 
     def uniform(self) -> float:
         """Uniform float in [0, 1)."""

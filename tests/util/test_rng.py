@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.candidates import rank_space
 from repro.util.rng import RandomSource, SharedCoin
 
 
@@ -93,6 +94,54 @@ class TestRandomSource:
         seq = np.random.SeedSequence(77)
         src = RandomSource(seq)
         assert src.seed_entropy == 77
+
+
+class TestUniformInts:
+    """The id column behind ring ids: {1, …, n⁴} as one draw."""
+
+    #: Largest n whose rank space {1, …, n⁴} still fits int64.
+    N_INT64 = 55_108
+
+    def test_boundary_of_int64_rank_space(self):
+        assert rank_space(self.N_INT64) < 2**63 <= rank_space(self.N_INT64 + 1)
+
+    def test_deterministic_per_seed(self):
+        space = rank_space(self.N_INT64)
+        a = RandomSource(11).uniform_ints(1, space, 500)
+        b = RandomSource(11).uniform_ints(1, space, 500)
+        c = RandomSource(12).uniform_ints(1, space, 500)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_int64_column_below_two_to_the_63(self):
+        space = rank_space(self.N_INT64)
+        column = RandomSource(4).uniform_ints(1, space, 2000)
+        assert column.dtype == np.int64
+        assert column.shape == (2000,)
+        assert column.min() >= 1 and column.max() <= space
+
+    def test_inclusive_bounds(self):
+        column = RandomSource(9).uniform_ints(3, 5, 300)
+        assert set(column.tolist()) == {3, 4, 5}
+
+    @pytest.mark.parametrize("n", [N_INT64 + 1, 2**20])
+    def test_exact_python_ints_past_two_to_the_63(self, n):
+        space = rank_space(n)
+        column = RandomSource(5).uniform_ints(1, space, 200)
+        again = RandomSource(5).uniform_ints(1, space, 200)
+        assert column.dtype == object
+        assert all(type(value) is int for value in column)
+        assert all(1 <= value <= space for value in column)
+        assert column.tolist() == again.tolist()
+
+    def test_values_past_int64_are_drawn(self):
+        space = rank_space(2**20)  # 2⁸⁰: almost every draw exceeds 2⁶³
+        column = RandomSource(6).uniform_ints(1, space, 50)
+        assert sum(value >= 2**63 for value in column) > 40
+
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError):
+            RandomSource(0).uniform_ints(5, 4, 3)
 
 
 class TestSharedCoin:
