@@ -18,9 +18,10 @@ on both engine backends.  The interesting numbers:
   adversary armed: the vectorized fault path must keep its edge over the
   per-message oracle loop.
 
-Before any adaptive timing, the run's trace fingerprint is asserted
-bit-identical across all three dispatch paths (fast, reference, batch) —
-a benchmark of three paths that disagree would be meaningless.
+Before any timing, the run's trace fingerprint is asserted bit-identical
+across both dispatch paths (the fast backend's batch core, which runs the
+scalar nodes through ``ScalarAdapter``, and the reference oracle) — a
+benchmark of two paths that disagree would be meaningless.
 
 Results land in ``BENCH_adversary.json``; CI runs ``--smoke``.
 
@@ -121,14 +122,8 @@ def _time(topology, backend: str, spec, rounds: int, repeats: int) -> dict:
     return entry
 
 
-def _fingerprint(topology, mode: str, spec, rounds: int):
-    """One run's trace fingerprint on a named dispatch path.
-
-    ``mode`` is ``"fast"``/``"reference"`` (scalar backends) or
-    ``"batch"`` (the ScalarAdapter-driven batch dispatch path).
-    """
-    from repro.network.batch import ScalarAdapter
-
+def _fingerprint(topology, backend: str, spec, rounds: int):
+    """One run's trace fingerprint on the named engine backend."""
     bits = 2 * congest_capacity_bits(topology.n)
     rng = RandomSource(0)
     armed = spec.arm(spec.derive_rng(rng), topology.n)
@@ -136,10 +131,8 @@ def _fingerprint(topology, mode: str, spec, rounds: int):
         GossipNode(v, topology.degree(v), rng, bits) for v in range(topology.n)
     ]
     metrics = MetricsRecorder()
-    program = ScalarAdapter(nodes) if mode == "batch" else nodes
-    backend = "reference" if mode == "reference" else "fast"
     engine = SynchronousEngine(
-        topology, program, metrics, backend=backend, adversary=armed
+        topology, nodes, metrics, backend=backend, adversary=armed
     )
     engine.run(max_rounds=rounds)
     return (
@@ -151,13 +144,11 @@ def _fingerprint(topology, mode: str, spec, rounds: int):
     )
 
 
-def _assert_three_way_parity(topology, spec, rounds: int) -> None:
-    """Refuse to time an adversary whose three paths disagree."""
+def _assert_parity(topology, spec, rounds: int) -> None:
+    """Refuse to time an adversary whose two paths disagree."""
     fast = _fingerprint(topology, "fast", spec, rounds)
     reference = _fingerprint(topology, "reference", spec, rounds)
-    batch = _fingerprint(topology, "batch", spec, rounds)
     assert fast == reference, "fast/reference fingerprints diverge"
-    assert fast == batch, "fast/batch fingerprints diverge"
 
 
 def run_bench(smoke: bool) -> dict:
@@ -171,7 +162,7 @@ def run_bench(smoke: bool) -> dict:
             per_round = topology.n * min(FANOUT, topology.degree(0))
             rounds = 5 if smoke else max(4, min(40, 400_000 // per_round))
             for spec in (SPEC, ADAPTIVE_SPEC):
-                _assert_three_way_parity(topology, spec, min(rounds, 4))
+                _assert_parity(topology, spec, min(rounds, 4))
             entry = {"topology": family, "n": n, "modes": {}}
             for backend in BACKENDS:
                 for label, spec in (

@@ -2,13 +2,17 @@
 
 Runs the three array-native protocol ports end-to-end — ring LCR on
 C_4096, [KPP+15b] LE and the engine-driven [AMP18] agreement on K_1024 —
-under all three dispatch paths:
+in three modes:
 
-* ``batch``            — the ``step_batch`` array path (one numpy call per
-  round, no per-node dispatch, no Message objects);
-* ``scalar-fast``      — legacy ``Node.step`` per node on the vectorized
-  routing backend (PR 2's fast path);
-* ``scalar-reference`` — the one-message-at-a-time oracle loop.
+* ``batch``            — the array-native port on the batch dispatch core
+  (one ``step_batch`` call per round, no per-node dispatch, no Message
+  objects);
+* ``scalar-fast``      — the scalar ``Node`` implementation under the
+  ``fast`` backend, i.e. the node list run on the same batch core through
+  :class:`~repro.network.batch.ScalarAdapter` (per-node ``step`` calls,
+  ``Message`` payloads);
+* ``scalar-reference`` — the scalar implementation on the
+  one-message-at-a-time oracle loop.
 
 Every mode runs the *same* seeded trial, and the bench asserts the
 results are bit-identical before it reports a single number — the

@@ -2,7 +2,10 @@
 
 Drives a deterministic gossip workload over K_n, the 2-D torus, and a
 random-regular expander at n ∈ {256, 1024, 4096}, and records rounds/sec
-and messages/sec per backend plus the fast/reference speedup.
+and messages/sec per backend plus the fast/reference speedup.  The
+workload is a scalar ``Node`` list, so ``fast`` times it on the batch
+dispatch core through :class:`~repro.network.batch.ScalarAdapter` (the
+"scalar-fast" path) and ``reference`` on the oracle loop.
 
 The workload isolates *engine* overhead — routing, delivery, CONGEST
 accounting — from protocol-side allocation: every node pre-builds one

@@ -4,7 +4,8 @@ Three stages, each gated on bit-identity before any number is reported:
 
 * **parity** — the newly ported protocols (Hirschberg–Sinclair, the CPR
   diameter-2 baseline, engine-driven Borůvka) plus LCR/KPP run the same
-  seeded trial under scalar-fast, scalar-reference, and the batch path on
+  seeded trial under scalar-fast (the scalar nodes on the batch core
+  through ``ScalarAdapter``), scalar-reference, and the batch path on
   every installed kernel tier; all fingerprints must match exactly;
 * **speedup** — batch vs scalar-fast rounds/sec at moderate n for the
   three new ports, plus numba-vs-numpy rows when numba is importable

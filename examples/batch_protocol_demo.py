@@ -3,8 +3,10 @@
 Walks the EXPERIMENTS.md migration recipe on a minimal protocol —
 max-id flooding on a cycle (every node repeatedly broadcasts the largest
 id it has heard; after n rounds everyone knows the maximum) — then shows
-the same `--node-api` switch on a shipped port (ring LCR) and the
-`ScalarAdapter` escape hatch for unported protocols.
+the same `--node-api` switch on a shipped port (ring LCR).  The scalar
+rows need no port: the engine wraps every node list in `ScalarAdapter`
+and runs it on the same batch core, while `backend="reference"` runs it
+on the one-message-at-a-time oracle loop.
 
 Run with:  PYTHONPATH=src python examples/batch_protocol_demo.py
 """
@@ -15,7 +17,7 @@ import numpy as np
 
 from repro.classical.leader_election.ring import lcr_ring
 from repro.network import graphs
-from repro.network.batch import BatchProtocol, MessageBatch, ScalarAdapter
+from repro.network.batch import BatchProtocol, MessageBatch
 from repro.network.engine import SynchronousEngine
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
@@ -92,19 +94,21 @@ def run_flood(topology, mode):
     if mode == "batch":
         program = FloodBatch(topology, deadline)
     else:
-        nodes = [
+        program = [
             FloodNode(v, topology.degree(v), rng.spawn(), deadline)
             for v in range(topology.n)
         ]
-        program = ScalarAdapter(nodes) if mode == "adapter" else nodes
-    engine = SynchronousEngine(topology, program, metrics, label="flood")
+    backend = "reference" if mode == "reference" else "fast"
+    engine = SynchronousEngine(
+        topology, program, metrics, label="flood", backend=backend
+    )
     start = time.perf_counter()
     engine.run(max_rounds=deadline + 1)
     elapsed = time.perf_counter() - start
     if mode == "batch":
         best = program.best.tolist()
     else:
-        best = [n.best for n in (program.nodes if mode == "adapter" else program)]
+        best = [node.best for node in program]
     return best, metrics.messages, metrics.rounds, elapsed
 
 
@@ -112,7 +116,7 @@ def main():
     topology = graphs.cycle(512)
     print(f"max-id flood on C_{topology.n}:")
     baseline = None
-    for mode in ("scalar", "adapter", "batch"):
+    for mode in ("scalar", "reference", "batch"):
         best, messages, rounds, elapsed = run_flood(topology, mode)
         assert all(b == topology.n - 1 for b in best)
         if baseline is None:
@@ -120,7 +124,7 @@ def main():
         else:
             assert (best, messages, rounds) == baseline, "paths must agree"
         print(
-            f"  {mode:<8} {messages:>9,} msgs over {rounds} rounds "
+            f"  {mode:<9} {messages:>9,} msgs over {rounds} rounds "
             f"in {elapsed * 1e3:7.1f} ms  ({rounds / elapsed:,.0f} rounds/s)"
         )
 

@@ -3,10 +3,11 @@
 An :class:`AdaptiveAdversary` is an :class:`~repro.adversary.armed.ArmedAdversary`
 whose fault decisions react to the traffic it observes.  The engine feeds
 it every round's canonical sends through :meth:`observe_round` — invoked
-at the same point by all three dispatch paths (``reference``, ``fast``,
-and the batch path), immediately after routing and immediately before
-fault masks are drawn — so fast ≡ batch ≡ reference stays bit-identical
-under identical adversary seeds.
+at the same point by both dispatch paths (the batch core behind the
+``fast`` backend and the ``reference`` oracle), immediately after routing
+and immediately before fault masks are drawn — so array-native ports,
+adapter-driven scalar nodes and the oracle stay bit-identical under
+identical adversary seeds.
 
 Strategies (:data:`~repro.adversary.spec.ADAPTIVE_STRATEGIES`):
 

@@ -7,13 +7,14 @@ queue, and the fault accounting for one protocol run.
 
 Determinism contract (what makes fast-vs-reference trace equivalence hold):
 
-* both engine backends flatten each round's sends into the same canonical
-  order (sender ascending, outbox position within a sender), so
-  :meth:`message_masks` is called with identical ``(senders, ports)`` arrays;
+* both engine dispatch paths — the batch core and the reference oracle —
+  flatten each round's sends into the same canonical order (sender
+  ascending, outbox position within a sender), so :meth:`message_masks`
+  is called with identical ``(senders, ports)`` arrays;
 * the generator is consumed in a fixed draw order — drop, then delay, then
   duplicate — and a fault class whose rate is zero draws nothing;
 * rate draws are vectorized (one ``random(count)`` per armed fault class
-  per round), which is also what lets the fast backend apply faults as
+  per round), which is also what lets the batch core apply faults as
   numpy masks on its batched outbox arrays.
 """
 

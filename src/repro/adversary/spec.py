@@ -25,7 +25,7 @@ Being pure data, a spec can sit inside a frozen
 participate in result-store cache keys.  All randomness is drawn from a
 :class:`~repro.util.rng.RandomSource` derived per trial (or pinned with
 ``seed``), so the same spec + seed reproduces the same faults bit for bit on
-either engine backend.
+either engine backend and either node API.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ Two trace-identical implementations share the schedule: scalar
 :class:`_AMP18Node` (per-node ``step``) and array-native
 :class:`_AMP18Batch` (one ``step_batch`` over SoA columns), selected by
 ``node_api`` — the parity property tests assert bit-for-bit equality
-across both and across both scalar backends.
+across both, and for the scalar one across both engine backends.
 """
 
 from __future__ import annotations

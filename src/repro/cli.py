@@ -11,9 +11,9 @@ Commands:
 * ``agree``                     — run quantum vs classical agreement;
 * ``sweep --experiment E1``     — run an experiment's scenario pair across
                                   its size grid, trials fanned over cores
-                                  (``--engine fast|reference`` picks the
-                                  backend; per-size results are cached under
-                                  ``benchmarks/results/cache/`` unless
+                                  (``--engine reference`` runs the scalar
+                                  oracle loop; per-size results are cached
+                                  under ``benchmarks/results/cache/`` unless
                                   ``--no-cache``);
 * ``worker DIR``                — join a distributed sweep fleet: pull
                                   shards from the fabric queue directory
@@ -41,6 +41,11 @@ capability: ``auto`` (the default) runs the array-native
 exists, ``scalar`` forces the legacy per-node path, and ``batch``
 requires the array-native path (an error for scalar-only protocols).
 Both paths are bit-identical under the same seeds and adversary specs.
+``elect``, ``sweep``, and ``profile`` also accept ``--engine
+fast|reference``: ``fast`` runs either program on the engine's array
+dispatch core, ``reference`` runs the one-message-at-a-time oracle loop,
+which steps scalar node lists only (``auto`` then resolves to
+``scalar``; an explicit ``batch`` is an error).
 
 The same three commands accept ``--kernel {auto,numba,numpy}`` (env
 ``REPRO_KERNEL``) selecting the compiled-kernel tier behind the batch
@@ -73,6 +78,11 @@ or profiled runs are bit-identical to bare ones.  The root-level
 ``--log-level`` flag turns on structured (logfmt) ``logging`` output
 for the fabric's worker/coordinator loggers.
 
+Commands export their settings as ``REPRO_*`` environment variables so
+pool and fabric workers inherit them; :func:`main` restores the
+variables it found on entry when the command returns, so one in-process
+call never configures the next.
+
 Protocol dispatch goes through :mod:`repro.runtime`: the registry resolves
 protocols by name and the scenario layer binds topologies, so the CLI holds
 no per-protocol wiring of its own.
@@ -90,10 +100,26 @@ from repro.analysis.experiments import EXPERIMENTS, get_experiment
 __all__ = ["build_parser", "main"]
 
 
-def _apply_engine(engine: str | None) -> None:
-    """Select the engine backend process-wide (workers inherit the env)."""
-    if engine is not None:
-        os.environ["REPRO_ENGINE"] = engine
+def _apply_engine(args) -> None:
+    """Select the engine backend process-wide (workers inherit the env).
+
+    The reference oracle steps scalar node lists only, so under it
+    ``--node-api auto`` becomes ``scalar``.  The value is written back
+    into ``args`` and from there into the scenario, so store keys and
+    fabric workers name the path that actually ran.  Raises ValueError
+    for ``--node-api batch`` under the reference backend.
+    """
+    from repro.network.engine import default_backend
+
+    engine = getattr(args, "engine", None) or default_backend()
+    if engine == "reference":
+        if args.node_api == "batch":
+            raise ValueError(
+                "the reference engine runs scalar node lists only; "
+                "--node-api batch needs --engine fast"
+            )
+        args.node_api = "scalar"
+    os.environ["REPRO_ENGINE"] = engine
 
 
 def _apply_kernel(kernel: str | None) -> str:
@@ -153,6 +179,20 @@ def _adversary_from_args(args):
     if updates:
         spec = spec.with_updates(**updates)
     return spec
+
+
+def _add_engine_flag(parser) -> None:
+    parser.add_argument(
+        "--engine",
+        choices=("fast", "reference"),
+        default=None,
+        help="engine backend: 'fast' (default, or the REPRO_ENGINE env "
+        "var) runs every program on the array dispatch core; "
+        "'reference' runs the one-message-at-a-time oracle loop on the "
+        "scalar implementation (--node-api auto becomes scalar; batch is "
+        "an error) and records no per-phase profile; both are "
+        "trace-equivalent",
+    )
 
 
 def _add_node_api_flag(parser) -> None:
@@ -380,9 +420,9 @@ def _cmd_elect(args) -> int:
     from repro.runtime import TopologySpec, default_registry
     from repro.util.rng import RandomSource
 
-    _apply_engine(args.engine)
     _apply_telemetry(args)
     try:
+        _apply_engine(args)
         _apply_kernel(args.kernel)
     except (RuntimeError, ValueError) as error:
         print(error, file=sys.stderr)
@@ -477,6 +517,7 @@ def _cmd_agree(args) -> int:
 
     _apply_telemetry(args)
     try:
+        _apply_engine(args)
         _apply_kernel(args.kernel)
     except (RuntimeError, ValueError) as error:
         print(error, file=sys.stderr)
@@ -621,9 +662,9 @@ def _cmd_sweep(args) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    _apply_engine(args.engine)
     _apply_telemetry(args)
     try:
+        _apply_engine(args)
         _apply_kernel(args.kernel)
     except (RuntimeError, ValueError) as error:
         print(error, file=sys.stderr)
@@ -908,7 +949,6 @@ def _cmd_fabric(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    _apply_engine(args.engine)
     _apply_telemetry(args)
     try:
         _apply_kernel(args.kernel)
@@ -960,7 +1000,6 @@ def _cmd_metrics(args) -> int:
         return 2
     registry = metrics_registry()
     if args.scenario is not None:
-        _apply_engine(args.engine)
         try:
             _apply_kernel(args.kernel)
             sizes = _parse_sizes(args.sizes)
@@ -1140,10 +1179,10 @@ def _cmd_profile(args) -> int:
     from repro.runtime import get_scenario, run_scenario
     from repro.telemetry import format_profile, set_profiling
 
-    _apply_engine(args.engine)
     _apply_telemetry(args)
     set_profiling(True)
     try:
+        _apply_engine(args)
         _apply_kernel(args.kernel)
     except (RuntimeError, ValueError) as error:
         print(error, file=sys.stderr)
@@ -1267,13 +1306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     elect.add_argument("-n", "--n", type=int, default=1024)
     elect.add_argument("--seed", type=int, default=0)
-    elect.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default=None,
-        help="engine backend: vectorized 'fast' (default) or the "
-        "'reference' oracle loop (both are trace-equivalent)",
-    )
+    _add_engine_flag(elect)
     _add_node_api_flag(elect)
     _add_kernel_flag(elect)
     _add_adversary_flags(elect)
@@ -1312,13 +1345,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes for trials (default: all cores)",
     )
-    sweep.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default=None,
-        help="engine backend: vectorized 'fast' (default) or the "
-        "'reference' oracle loop (both are trace-equivalent)",
-    )
+    _add_engine_flag(sweep)
     sweep.add_argument(
         "--no-cache",
         action="store_true",
@@ -1485,12 +1512,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="fabric lease heartbeat TTL for serve-owned jobs (seconds)",
     )
-    serve.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default=None,
-        help="engine backend for computed runs (workers inherit)",
-    )
     _add_kernel_flag(serve)
     _add_telemetry_flags(serve)
     serve.set_defaults(handler=_cmd_serve)
@@ -1562,13 +1583,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for trials (default: all cores; per-worker "
         "phase deltas are merged into the report)",
     )
-    profile.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default=None,
-        help="engine backend to profile (reference paths report rounds "
-        "but no per-phase split)",
-    )
+    _add_engine_flag(profile)
     _add_node_api_flag(profile)
     _add_kernel_flag(profile)
     profile.add_argument(
@@ -1614,12 +1629,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for trials (default: all cores; per-worker "
         "registry deltas merge into the dump)",
     )
-    metrics.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default=None,
-        help="engine backend for the scenario run",
-    )
     _add_kernel_flag(metrics)
     metrics.set_defaults(handler=_cmd_metrics)
 
@@ -1650,4 +1659,13 @@ def main(argv: list[str] | None = None) -> int:
         from repro.telemetry import configure_logging
 
         configure_logging(args.log_level)
-    return args.handler(args)
+    saved = {
+        key: value for key, value in os.environ.items() if key.startswith("REPRO_")
+    }
+    try:
+        return args.handler(args)
+    finally:
+        for key in [key for key in os.environ if key.startswith("REPRO_")]:
+            if key not in saved:
+                del os.environ[key]
+        os.environ.update(saved)

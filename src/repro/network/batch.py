@@ -2,26 +2,26 @@
 
 The scalar :class:`~repro.network.node.Node` API crosses the numpy/Python
 boundary once per node per round — ``step`` takes and returns ``(port,
-Message)`` tuple lists, so on the fast backend every round still
-materializes Θ(messages) Python objects even though *routing* is fully
-vectorized.  This module is the opt-in alternative: a
-:class:`BatchProtocol` owns its whole network's state as numpy arrays
-(struct-of-arrays) and advances one synchronous round with a single call
+Message)`` tuple lists, so every round still materializes Θ(messages)
+Python objects even though *routing* is fully vectorized.  This module is
+the array-native alternative: a :class:`BatchProtocol` owns its whole
+network's state as numpy arrays (struct-of-arrays) and advances one
+synchronous round with a single call
 
     ``step_batch(round_index, inbox) -> outbox``
 
 over *all alive nodes at once*, where inbox and outbox use the engine's
 batched :class:`MessageBatch` representation — parallel ``(senders, ports,
-kinds, values)`` int64 columns, the same arrays the fast backend's routing
-gathers already operate on.  No per-node dispatch, no tuple
-materialization, no ``Message`` objects on the wire.
+kinds, values)`` int64 columns, the same arrays the engine's routing
+gathers operate on.  No per-node dispatch, no tuple materialization, no
+``Message`` objects on the wire.
 
 Contracts a ``step_batch`` implementation must honour (the engine checks
 the cheap ones):
 
 * **canonical send order** — outbox rows sorted by sender ascending, and
   within one sender in the node's emission order.  This is the exact
-  order both scalar backends flatten each round's sends into, so fault
+  order the reference oracle flattens each round's sends into, so fault
   masks drawn by an :class:`~repro.adversary.armed.ArmedAdversary`
   consume identical random streams and batch trials stay bit-identical
   to scalar ones;
@@ -30,29 +30,28 @@ the cheap ones):
   ``halt()``), but a node halted *before* the round must not appear as a
   sender;
 * **one message per port per round** — the CONGEST constraint, validated
-  by the engine exactly as on the scalar paths.
+  by the engine exactly as on the reference oracle.
 
 Inbox batches arrive sorted by ``receivers`` ascending with the canonical
 order preserved inside each receiver's group — identical to the per-inbox
-append order of the scalar backends — and never contain rows addressed to
-halted nodes (the engine drops those first, with the same accounting as
-the scalar paths; see :meth:`~repro.network.node.Node.halt`).
+append order of the reference oracle — and never contain rows addressed
+to halted nodes (the engine drops those first, with the same accounting
+as the oracle; see :meth:`~repro.network.node.Node.halt`).
 
 :class:`ScalarAdapter` closes the loop in the other direction: it wraps
-any legacy list of :class:`~repro.network.node.Node` instances behind the
-``step_batch`` contract (arrays → tuples → ``step`` → tuples → arrays), so
-the engine needs only the one uniform program interface.  It is a
-*library-level* escape hatch — construct it directly to drive an
-unported protocol through the batch dispatch path; the registry's
-``--node-api batch`` remains an explicit capability request and is
-rejected for protocols without an array-native port (``auto``/``scalar``
-pick the scalar path there).
+a list of :class:`~repro.network.node.Node` instances behind the
+``step_batch`` contract (arrays → tuples → ``step`` → tuples → arrays).
+The engine wraps every node list in one, so scalar and array-native
+programs share one dispatch core.  The registry's ``--node-api batch``
+remains an explicit request for an array-native port and is rejected
+for protocols without one (``auto``/``scalar`` pick the node list there).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -284,13 +283,13 @@ class ScalarAdapter(BatchProtocol):
     """Drive legacy :class:`~repro.network.node.Node` lists through
     :meth:`~BatchProtocol.step_batch`.
 
-    The adapter converts each inbox batch into per-node ``(port, Message)``
-    lists, calls every alive node's ``step`` in ascending node order
-    (exactly the scalar backends' schedule, so RNG consumption and send
-    order are preserved), and flattens the outboxes back into one batch in
-    canonical order.  It buys *uniformity*, not speed: per-node Python
-    dispatch still happens inside ``step_batch``.  Array-native protocols
-    subclass :class:`BatchProtocol` directly to skip it.
+    The engine wraps every node list in one, so scalar programs share the
+    batch dispatch core.  Each round the adapter hands every alive node
+    its ``(port, Message)`` inbox, calls ``step`` in ascending node order
+    (the reference oracle's schedule, so RNG consumption and send order
+    are preserved), and flattens the outboxes back into one batch in
+    canonical order.  Per-node Python dispatch still happens here;
+    array-native protocols subclass :class:`BatchProtocol` to skip it.
     """
 
     uses_messages = True
@@ -301,6 +300,8 @@ class ScalarAdapter(BatchProtocol):
         for v, node in enumerate(nodes):
             if node.halted:
                 self.halted[v] = True
+        self._boxes: list[list] = [[] for _ in nodes]
+        self._filled: list[int] = []
 
     def force_halt(self, v: int) -> None:
         self.nodes[v].halted = True
@@ -309,32 +310,48 @@ class ScalarAdapter(BatchProtocol):
     def step_batch(
         self, round_index: int, inbox: MessageBatch
     ) -> MessageBatch | None:
-        n = self.n
-        boxes: list[list] = [[] for _ in range(n)]
-        if len(inbox):
-            for receiver, port, message in zip(
-                inbox.receivers.tolist(), inbox.ports.tolist(), inbox.payloads
-            ):
-                boxes[receiver].append((port, message))
-        out_senders: list[int] = []
-        out_ports: list[int] = []
-        out_payloads: list = []
+        boxes = self._boxes
+        for v in self._filled:
+            boxes[v] = []
+        count = len(inbox)
+        if count:
+            # The inbox is sorted by receiver: cut it at receiver changes
+            # and hand each receiver its run of (port, message) pairs.
+            pairs = list(zip(inbox.ports.tolist(), inbox.payloads))
+            receivers = inbox.receivers
+            cuts = (np.flatnonzero(receivers[1:] != receivers[:-1]) + 1).tolist()
+            starts = [0, *cuts]
+            self._filled = receivers[starts].tolist()
+            for v, start, stop in zip(self._filled, starts, [*cuts, count]):
+                boxes[v] = pairs[start:stop]
+        else:
+            self._filled = []
+        halted = self.halted
+        senders: list[int] = []
+        sizes: list[int] = []
+        port_chunks: list[tuple] = []
+        message_chunks: list[tuple] = []
         for v, node in enumerate(self.nodes):
-            if self.halted[v]:
+            if node.halted:
                 continue
             outbox = node.step(round_index, boxes[v])
             if node.halted:
-                self.halted[v] = True
-            for port, message in outbox:
-                out_senders.append(v)
-                out_ports.append(port)
-                out_payloads.append(message)
-        if not out_senders:
+                halted[v] = True
+            if outbox:
+                ports, messages = zip(*outbox)
+                senders.append(v)
+                sizes.append(len(ports))
+                port_chunks.append(ports)
+                message_chunks.append(messages)
+        if not senders:
             return None
+        total = sum(sizes)
         return MessageBatch(
-            senders=np.asarray(out_senders, dtype=np.int64),
-            ports=np.asarray(out_ports, dtype=np.int64),
-            payloads=out_payloads,
+            senders=np.repeat(np.asarray(senders, dtype=np.int64), sizes),
+            ports=np.fromiter(
+                chain.from_iterable(port_chunks), dtype=np.int64, count=total
+            ),
+            payloads=list(chain.from_iterable(message_chunks)),
         )
 
     # The SoA result views are mirrored lazily from the wrapped nodes —

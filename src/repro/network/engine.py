@@ -6,26 +6,25 @@ and charges every delivered message to the metrics recorder.  It is used by
 the classical baselines whose round counts are small enough to simulate
 directly (ring LE, KPP complete-graph LE, CPR diameter-2 LE, ...).
 
-Three dispatch paths implement :meth:`SynchronousEngine.run`:
+Two dispatch paths implement :meth:`SynchronousEngine.run`, selected by
+the ``backend`` knob:
 
-* ``"fast"`` (the default scalar backend) batches each round's outboxes
-  into parallel arrays and resolves all receivers and arrival ports with
+* ``"fast"`` (the default) runs the **batch** core
+  (:meth:`_run_batch`): one ``step_batch`` call per round over array
+  inboxes/outboxes, with every receiver and arrival port resolved by
   numpy gathers through the topology's precomputed
   :class:`~repro.network.porttable.PortTable` — O(1) routing per message
-  and vectorized CONGEST-violation detection;
-* ``"reference"`` is the original one-message-at-a-time Python loop, kept
-  as the differential-testing oracle;
-* the **batch** path (:meth:`_run_fast_batch`) engages automatically when
-  the engine is constructed with a
-  :class:`~repro.network.batch.BatchProtocol` instead of a node list: the
-  whole round is one ``step_batch`` call over array inboxes/outboxes fed
-  straight from the port-table gathers — no per-node dispatch, no tuple
-  materialization.  It reuses the fast backend's routing arrays and is
-  backend-independent (selecting ``backend="reference"`` with a batch
-  program still runs the batch path; the differential oracle for a batch
-  protocol is its *scalar* implementation on either scalar backend).
+  and vectorized CONGEST-violation detection.  An array-native
+  :class:`~repro.network.batch.BatchProtocol` runs on it directly; a list
+  of scalar :class:`~repro.network.node.Node` instances is wrapped in a
+  :class:`~repro.network.batch.ScalarAdapter` at construction;
+* ``"reference"`` is the original one-message-at-a-time Python loop over a
+  node list, kept as the differential-testing oracle.  It runs scalar
+  node lists only: the oracle for an array-native protocol is its scalar
+  implementation (``node_api="scalar"``), so a native ``BatchProtocol``
+  under ``"reference"`` is rejected at construction.
 
-Both backends are trace-equivalent by construction — same delivery order,
+Both paths are trace-equivalent by construction — same delivery order,
 same metrics charges, same RNG consumption — which the test suite asserts
 across every topology family.  The default backend can be overridden
 per-engine (``backend=``) or process-wide via the ``REPRO_ENGINE``
@@ -34,21 +33,21 @@ environment variable (which worker processes inherit).
 Fault injection: the engine optionally takes an armed adversary
 (:meth:`repro.adversary.AdversarySpec.arm`) that may drop, delay, or
 duplicate messages in transit and crash-stop nodes on a schedule.  Both
-backends consume the adversary identically — each round's sends are
+paths consume the adversary identically — each round's sends are
 flattened in canonical order (sender ascending, outbox position) before
 fault masks are drawn — so trial results stay bit-identical across
-backends under the same adversary seed.  The fast backend applies the
-masks directly on its batched outbox arrays; the reference backend is the
+paths under the same adversary seed.  The batch core applies the masks
+directly on its batched outbox arrays; the reference loop is the
 differential oracle for faulty runs too.  Undelivered-message accounting
 distinguishes adversary losses from protocol slack
 (:meth:`SynchronousEngine.undelivered_detail`).
 
 Adaptive adversaries (``ArmedAdversary.observes``) additionally receive a
-per-round traffic observation callback: every dispatch path calls
+per-round traffic observation callback: both paths call
 ``observe_round(round_index, senders, ports, receivers)`` at the same
 canonical point — after routing resolves, before fault masks are drawn,
 once per round with at least one message — so traffic-conditioned fault
-decisions (and their RNG draws) are bit-identical across all three paths.
+decisions (and their RNG draws) are bit-identical across paths.
 ``run()`` also validates the armed crash schedule against the round
 budget, warning about crash rounds that can never fire.
 
@@ -60,15 +59,12 @@ it (all in-repo protocols already do).
 from __future__ import annotations
 
 import gc
-import itertools
-import operator
 import os
-import warnings
 from time import perf_counter
 
 import numpy as np
 
-from repro.network.batch import BatchProtocol, MessageBatch
+from repro.network.batch import BatchProtocol, MessageBatch, ScalarAdapter
 from repro.network.kernels import get_kernels
 from repro.network.message import (
     Message,
@@ -76,7 +72,6 @@ from repro.network.message import (
     message_units_array,
 )
 from repro.network.metrics import MetricsRecorder
-from repro.network.node import Node
 from repro.network.topology import Topology
 from repro.telemetry import current_profiler, current_tracer, metrics_registry
 
@@ -110,13 +105,11 @@ class SynchronousEngine:
     in lockstep rounds.
 
     ``program`` is either a list of :class:`~repro.network.node.Node`
-    instances (dispatched per node through the ``fast``/``reference``
-    backends) or one :class:`~repro.network.batch.BatchProtocol`
-    (dispatched whole-network-per-round through the batch path).  The
-    legacy ``nodes=`` keyword still works but is deprecated — prefer the
-    positional ``program`` argument, or better, build runs through the
-    protocol registry (:mod:`repro.runtime`), which owns the node-API
-    selection (``--node-api``).
+    instances, which the engine wraps in a
+    :class:`~repro.network.batch.ScalarAdapter`, or one
+    :class:`~repro.network.batch.BatchProtocol`.  Prefer building runs
+    through the protocol registry (:mod:`repro.runtime`), which owns the
+    node-API selection (``--node-api``).
     """
 
     def __init__(
@@ -129,48 +122,32 @@ class SynchronousEngine:
         adversary=None,
         kernel: str | None = None,
         *,
-        nodes: list[Node] | None = None,
         tracer=None,
         profiler=None,
     ):
-        if nodes is not None:
-            if program is not None:
-                raise TypeError(
-                    "pass either the positional `program` argument or the "
-                    "legacy nodes= keyword, not both"
-                )
-            warnings.warn(
-                "SynchronousEngine(nodes=...) is deprecated; pass the node "
-                "list (or a BatchProtocol) as the second positional "
-                "`program` argument, or dispatch through the protocol "
-                "registry (repro.runtime), which selects the node API",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            program = nodes
         if program is None:
             raise TypeError("SynchronousEngine needs a node program")
         if metrics is None:
             raise TypeError("SynchronousEngine needs a MetricsRecorder")
-        if isinstance(program, BatchProtocol):
-            if program.n != topology.n:
-                raise ValueError(
-                    f"topology has {topology.n} nodes but the batch program "
-                    f"has {program.n}"
-                )
-            self.program: BatchProtocol | None = program
-            self.nodes = []
-        else:
-            if len(program) != topology.n:
-                raise ValueError(
-                    f"topology has {topology.n} nodes but {len(program)} "
-                    f"were provided"
-                )
-            self.program = None
-            self.nodes = program
+        if not isinstance(program, BatchProtocol):
+            program = ScalarAdapter(program)
+        if program.n != topology.n:
+            raise ValueError(
+                f"topology has {topology.n} nodes but the "
+                f"{type(program).__name__} batch program has {program.n}"
+            )
         backend = backend if backend is not None else default_backend()
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+        if backend == "reference" and not isinstance(program, ScalarAdapter):
+            raise ValueError(
+                f"backend='reference' steps scalar Node lists only, not the "
+                f"array-native {type(program).__name__}; the differential "
+                f"oracle for a batch protocol is its scalar implementation — "
+                f"select it with node_api='scalar' (CLI: --node-api scalar)"
+            )
+        #: The program the engine steps; node lists arrive here wrapped.
+        self.program: BatchProtocol = program
         self.topology = topology
         self.metrics = metrics
         self.label = label
@@ -211,22 +188,7 @@ class SynchronousEngine:
             # reach — a silent no-op fault plan is a misconfigured scenario.
             self.adversary.check_crash_horizon(max_rounds)
         tracer = self.tracer
-        if self.program is not None:
-            if self.backend == "reference":
-                warnings.warn(
-                    "backend='reference' has no effect on a BatchProtocol "
-                    "program: the batch dispatch path will run.  The "
-                    "differential oracle for a batch protocol is its scalar "
-                    "implementation — select it with node_api='scalar' "
-                    "(CLI: --node-api scalar)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            path = "batch"
-        elif self.backend == "fast":
-            path = "fast"
-        else:
-            path = "reference"
+        path = "reference" if self.backend == "reference" else "batch"
         if tracer.enabled:
             tracer.emit(
                 "engine_start",
@@ -237,11 +199,7 @@ class SynchronousEngine:
                 adversary=self.adversary is not None,
             )
         if path == "batch":
-            rounds = self._run_fast_batch(max_rounds)
-        elif path == "fast":
-            rounds = self._run_fast(max_rounds)
-        elif self.adversary is not None:
-            rounds = self._run_reference_adversary(max_rounds)
+            rounds = self._run_batch(max_rounds)
         else:
             rounds = self._run_reference(max_rounds)
         if tracer.enabled:
@@ -320,11 +278,12 @@ class SynchronousEngine:
 
     def _apply_crashes(self, round_index: int, alive: int) -> int:
         """Crash-stop scheduled victims before they execute ``round_index``."""
+        program = self.program
+        halted = program.halted_mask()
         tracer = self.tracer
         for v in self.adversary.crashes_at(round_index):
-            node = self.nodes[v]
-            if not node.halted:
-                node.halted = True
+            if not halted[v]:
+                program.force_halt(v)
                 self._crashed.add(v)
                 self.adversary.note_crash(round_index)
                 if tracer.enabled:
@@ -334,97 +293,40 @@ class SynchronousEngine:
                 alive -= 1
         return alive
 
-    # -- reference backend -----------------------------------------------------
+    # -- reference oracle ------------------------------------------------------
 
     def _run_reference(self, max_rounds: int) -> int:
-        n = self.topology.n
-        self._in_flight = 0
-        self._dropped_adversary = 0
-        dropped = 0
-        inboxes: list[list[tuple[int, Message]]] = [[] for _ in range(n)]
-        spare: list[list[tuple[int, Message]]] = [[] for _ in range(n)]
-        alive = sum(not node.halted for node in self.nodes)
-        tracer = self.tracer
-        trace_rounds = tracer.enabled
-        for _ in range(max_rounds):
-            if alive == 0:
-                break
-            round_index = self.rounds_executed
-            next_inboxes = spare
-            messages_this_round = 0
-            round_sent = 0
-            for v, node in enumerate(self.nodes):
-                if node.halted:
-                    dropped += len(inboxes[v])
-                    continue
-                outbox = node.step(round_index, inboxes[v])
-                if node.halted:
-                    alive -= 1
-                used_ports: set[int] = set()
-                for port, message in outbox:
-                    if port in used_ports:
-                        raise CongestViolation(
-                            f"node {v} sent two messages on port {port} in "
-                            f"round {round_index}"
-                        )
-                    used_ports.add(port)
-                    receiver = self.topology.neighbor_at_port(v, port)
-                    receiver_port = self.topology.port_to(receiver, v)
-                    message.sender = v
-                    message.sender_port = port
-                    next_inboxes[receiver].append((receiver_port, message))
-                    round_sent += 1
-                    messages_this_round += message.message_units(n)
-            self.metrics.charge(self.label, messages=messages_this_round, rounds=1)
-            self._units_total += messages_this_round
-            if trace_rounds:
-                tracer.emit(
-                    "round",
-                    label=self.label,
-                    round=round_index,
-                    sent=round_sent,
-                    units=messages_this_round,
-                    dropped=0,
-                    delayed=0,
-                    duplicated=0,
-                )
-            spare = inboxes
-            inboxes = next_inboxes
-            for box in spare:
-                box.clear()
-            self.rounds_executed += 1
-        self._dropped_protocol = dropped
-        self._in_flight = sum(len(inbox) for inbox in inboxes)
-        return self.rounds_executed
+        """The differential oracle: one message at a time, node by node.
 
-    def _run_reference_adversary(self, max_rounds: int) -> int:
-        """Reference oracle under faults: collect, then fault, then deliver.
-
-        The two-pass shape keeps the round's sends in the same canonical
-        order (sender ascending, outbox position) the fast backend batches
-        them in, so both backends hand :meth:`ArmedAdversary.message_masks`
-        identical arrays and consume the adversary stream identically.
+        Steps the adapter's node list directly.  Each round collects the
+        sends, then faults them, then delivers them.  The two-pass shape
+        keeps the round's sends in the canonical order (sender ascending,
+        outbox position) the batch core flattens them in, so both paths
+        hand :meth:`ArmedAdversary.message_masks` identical arrays and
+        consume the adversary stream identically.  Without an adversary
+        every send is delivered.
         """
+        program = self.program
         n = self.topology.n
         adv = self.adversary
-        delay_rounds = adv.spec.delay_rounds
         self._in_flight = 0
         dropped_protocol = 0
         dropped_adversary = 0
         inboxes: list[list[tuple[int, Message]]] = [[] for _ in range(n)]
         spare: list[list[tuple[int, Message]]] = [[] for _ in range(n)]
-        alive = sum(not node.halted for node in self.nodes)
+        alive = program.alive_count()
         tracer = self.tracer
         trace_rounds = tracer.enabled
         for _ in range(max_rounds):
             round_index = self.rounds_executed
-            alive = self._apply_crashes(round_index, alive)
+            if adv is not None:
+                alive = self._apply_crashes(round_index, alive)
             if alive == 0:
                 break
             sends: list[tuple[int, int, Message]] = []
             messages_this_round = 0
             round_dropped = round_delayed = round_duplicated = 0
-            for v, node in enumerate(self.nodes):
+            for v, node in enumerate(program.nodes):
                 if node.halted:
                     if v in self._crashed:
                         dropped_adversary += len(inboxes[v])
@@ -434,6 +336,7 @@ class SynchronousEngine:
                     continue
                 outbox = node.step(round_index, inboxes[v])
                 if node.halted:
+                    program.halted[v] = True
                     alive -= 1
                 used_ports: set[int] = set()
                 for port, message in outbox:
@@ -450,41 +353,44 @@ class SynchronousEngine:
             self.metrics.charge(self.label, messages=messages_this_round, rounds=1)
             self._units_total += messages_this_round
             next_inboxes = spare
-            for receiver, port, message in adv.pop_delayed(round_index + 1):
-                next_inboxes[receiver].append((port, message))
             masks = None
-            if sends and (adv.has_message_faults or adv.observes):
-                count = len(sends)
-                senders_arr = np.fromiter(
-                    (s for s, _, _ in sends), dtype=np.int64, count=count
-                )
-                ports_arr = np.fromiter(
-                    (p for _, p, _ in sends), dtype=np.int64, count=count
-                )
-                if adv.observes:
-                    # Canonical observation point: after routing resolves,
-                    # before fault masks are drawn — identical to the
-                    # fast and batch paths, so adaptive decisions (and
-                    # their RNG draws) match bit for bit.
-                    receivers_arr = np.fromiter(
-                        (
-                            self.topology.neighbor_at_port(v, p)
-                            for v, p, _ in sends
-                        ),
-                        dtype=np.int64,
-                        count=count,
+            if adv is not None:
+                for receiver, port, message in adv.pop_delayed(round_index + 1):
+                    next_inboxes[receiver].append((port, message))
+                if sends and (adv.has_message_faults or adv.observes):
+                    count = len(sends)
+                    senders_arr = np.fromiter(
+                        (s for s, _, _ in sends), dtype=np.int64, count=count
                     )
-                    adv.observe_round(
-                        round_index, senders_arr, ports_arr, receivers_arr
+                    ports_arr = np.fromiter(
+                        (p for _, p, _ in sends), dtype=np.int64, count=count
                     )
-                if adv.has_message_faults:
-                    masks = adv.message_masks(round_index, senders_arr, ports_arr)
-                    round_dropped = int(masks[0].sum())
-                    round_delayed = int(masks[1].sum())
-                    round_duplicated = int(masks[2].sum())
-                    self._adv_dropped += round_dropped
-                    self._adv_delayed += round_delayed
-                    self._adv_duplicated += round_duplicated
+                    if adv.observes:
+                        # Canonical observation point: after routing
+                        # resolves, before fault masks are drawn — identical
+                        # to the batch core, so adaptive decisions (and
+                        # their RNG draws) match bit for bit.
+                        receivers_arr = np.fromiter(
+                            (
+                                self.topology.neighbor_at_port(v, p)
+                                for v, p, _ in sends
+                            ),
+                            dtype=np.int64,
+                            count=count,
+                        )
+                        adv.observe_round(
+                            round_index, senders_arr, ports_arr, receivers_arr
+                        )
+                    if adv.has_message_faults:
+                        masks = adv.message_masks(
+                            round_index, senders_arr, ports_arr
+                        )
+                        round_dropped = int(masks[0].sum())
+                        round_delayed = int(masks[1].sum())
+                        round_duplicated = int(masks[2].sum())
+                        self._adv_dropped += round_dropped
+                        self._adv_delayed += round_delayed
+                        self._adv_duplicated += round_duplicated
             for i, (v, port, message) in enumerate(sends):
                 receiver = self.topology.neighbor_at_port(v, port)
                 receiver_port = self.topology.port_to(receiver, v)
@@ -495,17 +401,15 @@ class SynchronousEngine:
                         continue
                     if delay[i]:
                         adv.push_delayed(
-                            round_index + 1 + delay_rounds,
+                            round_index + 1 + adv.spec.delay_rounds,
                             receiver,
                             receiver_port,
                             message,
                         )
                         continue
-                    next_inboxes[receiver].append((receiver_port, message))
                     if duplicate[i]:
                         next_inboxes[receiver].append((receiver_port, message))
-                else:
-                    next_inboxes[receiver].append((receiver_port, message))
+                next_inboxes[receiver].append((receiver_port, message))
             if trace_rounds:
                 tracer.emit(
                     "round",
@@ -524,13 +428,15 @@ class SynchronousEngine:
             self.rounds_executed += 1
         self._dropped_protocol = dropped_protocol
         self._dropped_adversary = dropped_adversary
-        self._in_flight = sum(len(inbox) for inbox in inboxes) + adv.pending_delayed
+        self._in_flight = sum(len(inbox) for inbox in inboxes)
+        if adv is not None:
+            self._in_flight += adv.pending_delayed
         return self.rounds_executed
 
-    # -- fast (vectorized) backend ---------------------------------------------
+    # -- batch dispatch core ---------------------------------------------------
 
-    def _run_fast(self, max_rounds: int) -> int:
-        # The hot loop allocates thousands of acyclic containers (inbox
+    def _run_batch(self, max_rounds: int) -> int:
+        # A scalar program allocates thousands of acyclic containers (inbox
         # tuples, outbox lists) per round; CPython's generation-0 collector
         # re-scans them constantly for cycles that cannot exist.  Pausing
         # collection for the duration of the run is worth ~1.5x on dense
@@ -539,252 +445,20 @@ class SynchronousEngine:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return self._run_fast_inner(max_rounds)
+            return self._run_batch_inner(max_rounds)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run_fast_inner(self, max_rounds: int) -> int:
-        n = self.topology.n
-        table = self.topology.port_table()
-        max_ports = max(1, table.max_ports)
-        capacity = congest_capacity_bits(n) if n >= 2 else 1
-        adv = self.adversary
-        self._in_flight = 0
-        dropped_protocol = 0
-        dropped_adversary = 0
-        inboxes: list[list[tuple[int, Message]]] = [[] for _ in range(n)]
-        spare: list[list[tuple[int, Message]]] = [[] for _ in range(n)]
-        alive = sum(not node.halted for node in self.nodes)
-        # Telemetry hooks, hoisted so the disabled cost per round is a
-        # handful of local-bool branches (the ≤1% overhead gate in
-        # benchmarks/bench_engine.py holds the hot loops to that).
-        tracer = self.tracer
-        trace_rounds = tracer.enabled
-        prof = self.profiler
-        for _ in range(max_rounds):
-            round_index = self.rounds_executed
-            if adv is not None:
-                alive = self._apply_crashes(round_index, alive)
-            if alive == 0:
-                break
-            round_sent = round_dropped = round_delayed = round_duplicated = 0
-            if prof is not None:
-                t_phase = perf_counter()
-            # Collect all outboxes into parallel per-node chunks; everything
-            # per-message below runs at C speed (zip/chain/numpy), leaving
-            # only the sender-stamp loop in Python.
-            sending_nodes: list[int] = []
-            chunk_sizes: list[int] = []
-            port_chunks: list[tuple] = []
-            message_chunks: list[tuple] = []
-            for v, node in enumerate(self.nodes):
-                if node.halted:
-                    if v in self._crashed:
-                        dropped_adversary += len(inboxes[v])
-                        self._dropped_to_crashed += len(inboxes[v])
-                    else:
-                        dropped_protocol += len(inboxes[v])
-                    continue
-                outbox = node.step(round_index, inboxes[v])
-                if node.halted:
-                    alive -= 1
-                if outbox:
-                    out_ports, out_messages = zip(*outbox)
-                    sending_nodes.append(v)
-                    chunk_sizes.append(len(out_ports))
-                    port_chunks.append(out_ports)
-                    message_chunks.append(out_messages)
-            if prof is not None:
-                t_now = perf_counter()
-                prof.add("engine.step", t_now - t_phase)
-                t_phase = t_now
-            next_inboxes = spare
-            if adv is not None:
-                for receiver, port, message in adv.pop_delayed(round_index + 1):
-                    next_inboxes[receiver].append((port, message))
-            if chunk_sizes:
-                payloads: list[Message] = list(
-                    itertools.chain.from_iterable(message_chunks)
-                )
-                count = len(payloads)
-                round_sent = count
-                sender_arr = np.repeat(
-                    np.asarray(sending_nodes, dtype=np.int64),
-                    np.asarray(chunk_sizes, dtype=np.int64),
-                )
-                port_arr = np.fromiter(
-                    itertools.chain.from_iterable(port_chunks),
-                    dtype=np.int64,
-                    count=count,
-                )
-                bad_index = table.find_bad_port(sender_arr, port_arr)
-                if bad_index is not None:
-                    raise ValueError(
-                        f"node {int(sender_arr[bad_index])} sent on invalid "
-                        f"port {int(port_arr[bad_index])} in round {round_index}"
-                    )
-                self._check_congest(
-                    sender_arr, port_arr, max_ports, round_index
-                )
-                receiver_arr, arrival_arr = table.route(
-                    sender_arr, port_arr, self.kernels
-                )
-                if any(message.bits for message in payloads):
-                    bits = np.fromiter(
-                        (m.bits for m in payloads), dtype=np.int64, count=count
-                    )
-                    units = message_units_array(bits, capacity)
-                    messages_this_round = int(units.sum())
-                else:
-                    messages_this_round = count
-                # Stamp sender identity exactly like the reference engine
-                # (reusing the original Python ints — no unboxing needed).
-                sender_ints = itertools.chain.from_iterable(
-                    itertools.repeat(v, k)
-                    for v, k in zip(sending_nodes, chunk_sizes)
-                )
-                port_ints = itertools.chain.from_iterable(port_chunks)
-                for message, sender, port in zip(payloads, sender_ints, port_ints):
-                    message.sender = sender
-                    message.sender_port = port
-                if adv is not None and adv.observes:
-                    # Canonical observation point (same as the reference
-                    # and batch paths): routed arrays in canonical send
-                    # order, before any fault mask is drawn.
-                    adv.observe_round(
-                        round_index, sender_arr, port_arr, receiver_arr
-                    )
-                if adv is not None and adv.has_message_faults:
-                    # Fault masks over the whole batched round: dropped
-                    # messages vanish (charged but undelivered), delayed
-                    # ones join a later round's inbox, duplicated ones
-                    # appear twice back-to-back — all by index gymnastics
-                    # on the same parallel arrays, no per-message loop.
-                    drop, delay, duplicate = adv.message_masks(
-                        round_index, sender_arr, port_arr
-                    )
-                    # Mask sums double as reconciliation counters: the
-                    # masks are disjoint, so these equal the adversary's
-                    # own ledger increments for this round.
-                    round_dropped = int(drop.sum())
-                    round_delayed = int(delay.sum())
-                    round_duplicated = int(duplicate.sum())
-                    self._adv_dropped += round_dropped
-                    self._adv_delayed += round_delayed
-                    self._adv_duplicated += round_duplicated
-                    if round_dropped or round_delayed or round_duplicated:
-                        dropped_adversary += round_dropped
-                        if round_delayed:
-                            arrival_round = round_index + 1 + adv.spec.delay_rounds
-                            for i in np.nonzero(delay)[0].tolist():
-                                adv.push_delayed(
-                                    arrival_round,
-                                    int(receiver_arr[i]),
-                                    int(arrival_arr[i]),
-                                    payloads[i],
-                                )
-                        keep = np.nonzero(~(drop | delay))[0]
-                        if round_duplicated:
-                            keep = np.repeat(
-                                keep, np.where(duplicate[keep], 2, 1)
-                            )
-                        receiver_arr = receiver_arr[keep]
-                        arrival_arr = arrival_arr[keep]
-                        payloads = [payloads[i] for i in keep.tolist()]
-                        count = len(payloads)
-                if prof is not None:
-                    t_now = perf_counter()
-                    prof.add("engine.gather", t_now - t_phase)
-                    t_phase = t_now
-                # Deliver grouped by receiver.  The stable sort preserves
-                # (sender, outbox-position) order within each inbox —
-                # identical to the reference engine's append order.
-                pairs = list(zip(arrival_arr.tolist(), payloads))
-                if count > 1:
-                    order = np.argsort(receiver_arr, kind="stable")
-                    sorted_receivers = receiver_arr[order]
-                    grouped = operator.itemgetter(*order.tolist())(pairs)
-                    boundaries = np.nonzero(np.diff(sorted_receivers))[0] + 1
-                    starts = [0, *boundaries.tolist(), count]
-                    targets = sorted_receivers[
-                        np.concatenate(([0], boundaries))
-                    ].tolist()
-                    for i, receiver in enumerate(targets):
-                        next_inboxes[receiver].extend(
-                            grouped[starts[i] : starts[i + 1]]
-                        )
-                elif count == 1:
-                    next_inboxes[int(receiver_arr[0])].append(pairs[0])
-                if prof is not None:
-                    prof.add("engine.deliver", perf_counter() - t_phase)
-            else:
-                messages_this_round = 0
-            self.metrics.charge(self.label, messages=messages_this_round, rounds=1)
-            self._units_total += messages_this_round
-            if trace_rounds:
-                tracer.emit(
-                    "round",
-                    label=self.label,
-                    round=round_index,
-                    sent=round_sent,
-                    units=messages_this_round,
-                    dropped=round_dropped,
-                    delayed=round_delayed,
-                    duplicated=round_duplicated,
-                )
-            spare = inboxes
-            inboxes = next_inboxes
-            for box in spare:
-                box.clear()
-            self.rounds_executed += 1
-        self._dropped_protocol = dropped_protocol
-        self._dropped_adversary = dropped_adversary
-        self._in_flight = sum(len(inbox) for inbox in inboxes)
-        if adv is not None:
-            self._in_flight += adv.pending_delayed
-        return self.rounds_executed
-
-    # -- batch (array-native) dispatch path ------------------------------------
-
-    def _apply_crashes_batch(self, round_index: int, alive: int) -> int:
-        """Crash-stop scheduled victims of a :class:`BatchProtocol` program."""
-        program = self.program
-        halted = program.halted_mask()
-        tracer = self.tracer
-        for v in self.adversary.crashes_at(round_index):
-            if not halted[v]:
-                program.force_halt(v)
-                self._crashed.add(v)
-                self.adversary.note_crash(round_index)
-                if tracer.enabled:
-                    tracer.emit(
-                        "crash", label=self.label, round=round_index, node=v
-                    )
-                alive -= 1
-        return alive
-
-    def _run_fast_batch(self, max_rounds: int) -> int:
-        # Same GC rationale as the scalar fast path; batch protocols that
-        # stay array-native allocate almost nothing per round, but the
-        # ScalarAdapter's tuple churn benefits exactly like _run_fast.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return self._run_fast_batch_inner(max_rounds)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _run_fast_batch_inner(self, max_rounds: int) -> int:
+    def _run_batch_inner(self, max_rounds: int) -> int:
         """One ``step_batch`` call per round over the whole alive network.
 
-        Trace-equivalent to the scalar backends by construction: inbound
+        Trace-equivalent to the reference oracle by construction: inbound
         rows to halted nodes are dropped with the same accounting, fault
         masks are drawn over the same canonically-ordered ``(senders,
         ports)`` arrays, delayed arrivals precede the round's direct
-        sends, and the stable receiver sort reproduces the scalar
-        backends' per-inbox append order.
+        sends, and the stable receiver sort reproduces the oracle's
+        per-inbox append order.
         """
         program = self.program
         n = self.topology.n
@@ -803,15 +477,16 @@ class SynchronousEngine:
         #: delay queue and inbox assembly preserve it for the whole run.
         extra_schema: tuple | None = None
         alive = program.alive_count()
-        # Same hoisting as the scalar fast path: disabled telemetry costs
-        # a few local-bool branches per round.
+        # Telemetry hooks, hoisted so the disabled cost per round is a
+        # handful of local-bool branches (the ≤1% overhead gate in
+        # benchmarks/bench_engine.py holds the hot loop to that).
         tracer = self.tracer
         trace_rounds = tracer.enabled
         prof = self.profiler
         for _ in range(max_rounds):
             round_index = self.rounds_executed
             if adv is not None:
-                alive = self._apply_crashes_batch(round_index, alive)
+                alive = self._apply_crashes(round_index, alive)
             if alive == 0:
                 break
             round_dropped = round_delayed = round_duplicated = 0
@@ -819,8 +494,8 @@ class SynchronousEngine:
                 t_phase = perf_counter()
             if len(inbox):
                 # Halted receivers drop their pending inbox rows — same
-                # classification as the scalar paths (crash-stopped nodes
-                # charge the adversary, self-halted ones the protocol).
+                # classification as the reference oracle (crash-stopped
+                # nodes charge the adversary, self-halted ones the protocol).
                 to_halted = program.halted_mask()[inbox.receivers]
                 if to_halted.any():
                     if self._crashed:
@@ -902,13 +577,13 @@ class SynchronousEngine:
                 else:
                     messages_this_round = count
                 if adv is not None and adv.observes:
-                    # Canonical observation point (same as both scalar
-                    # paths): routed arrays in canonical send order,
+                    # Canonical observation point (same as the reference
+                    # oracle): routed arrays in canonical send order,
                     # before any fault mask is drawn.
                     adv.observe_round(round_index, senders, ports, receiver_arr)
                 if adv is not None and adv.has_message_faults:
                     # Same single message_masks call per round, over the
-                    # same canonical arrays, as both scalar backends.
+                    # same canonical arrays, as the reference oracle.
                     drop, delay, duplicate = adv.message_masks(
                         round_index, senders, ports
                     )
@@ -971,7 +646,7 @@ class SynchronousEngine:
                 prof.add("engine.gather", t_now - t_phase)
                 t_phase = t_now
             # Assemble next round's inbox: delayed arrivals precede the
-            # round's direct sends (the scalar backends' append order);
+            # round's direct sends (the reference oracle's append order);
             # one stable sort groups rows by receiver while preserving it.
             total = len(delayed) + count
             if total:

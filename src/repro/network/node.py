@@ -49,9 +49,10 @@ class Node:
     def halt(self) -> None:
         """Stop participating in the protocol from the next round on.
 
-        Halt semantics are identical across all three engine dispatch
-        paths (``fast``, ``reference``, and the batch path of
-        :class:`~repro.network.batch.BatchProtocol` programs):
+        Halt semantics are identical on both engine dispatch paths (the
+        batch core, which runs a node list through
+        :class:`~repro.network.batch.ScalarAdapter`, and the ``reference``
+        oracle):
 
         * messages returned by the *same* ``step`` call that halts are
           still sent (halting takes effect after the round's sends);

@@ -54,7 +54,8 @@ TRACE_EVENTS: dict[str, tuple[str, ...]] = {
     # Trial span (pool workers and fabric shard execution).
     "trial_start": ("scenario", "protocol", "n", "position", "trial"),
     "trial_end": ("scenario", "protocol", "n", "position", "trial", "rounds", "messages"),
-    # Engine span with per-round events (all three dispatch paths).
+    # Engine span with per-round events; engine_start.path is "batch"
+    # (the array dispatch core) or "reference" (the scalar oracle loop).
     "engine_start": ("label", "n", "path", "max_rounds"),
     "round": ("label", "round", "sent", "units", "dropped", "delayed", "duplicated"),
     "crash": ("label", "round", "node"),

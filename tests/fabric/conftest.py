@@ -7,8 +7,6 @@ SIGKILLs, and real lease takeovers without noticeable wall-clock cost.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.runtime import Scenario, TopologySpec
@@ -18,21 +16,6 @@ from repro.runtime import Scenario, TopologySpec
 def _isolated_cache(tmp_path, monkeypatch):
     """Never let a fabric test touch the repo's real result cache."""
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "default-cache"))
-
-
-@pytest.fixture(autouse=True)
-def _no_topology_cache_leak():
-    """`sweep --no-cache` sets REPRO_NO_TOPOLOGY_CACHE process-wide.
-
-    Restore the pre-test state by hand (monkeypatch.delenv in teardown
-    would *record* the leaked value and faithfully restore the leak).
-    """
-    saved = os.environ.get("REPRO_NO_TOPOLOGY_CACHE")
-    yield
-    if saved is None:
-        os.environ.pop("REPRO_NO_TOPOLOGY_CACHE", None)
-    else:
-        os.environ["REPRO_NO_TOPOLOGY_CACHE"] = saved
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Unit tests for the array-native protocol contract and batch dispatch path."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.network.engine import CongestViolation, SynchronousEngine
 from repro.network.message import Message, congest_capacity_bits
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Node, Status
+from repro.telemetry.trace import JsonlTracer
 from repro.util.rng import RandomSource
 
 
@@ -141,38 +144,34 @@ class TestScalarAdapter:
 
 
 class TestDeprecationShim:
-    def test_nodes_keyword_warns(self):
-        rng = RandomSource(0)
-        nodes = [_EchoNode(v, 2, rng.spawn()) for v in range(3)]
-        with pytest.warns(DeprecationWarning, match="registry"):
-            engine = SynchronousEngine(
-                graphs.cycle(3), metrics=MetricsRecorder(), nodes=nodes
-            )
-        assert engine.nodes is nodes
-
-    def test_nodes_keyword_and_program_conflict(self):
-        rng = RandomSource(0)
-        nodes = [_EchoNode(v, 2, rng.spawn()) for v in range(3)]
-        with pytest.raises(TypeError, match="not both"):
-            SynchronousEngine(
-                graphs.cycle(3), nodes, MetricsRecorder(), nodes=nodes
-            )
-
     def test_missing_program_is_an_error(self):
         with pytest.raises(TypeError, match="node program"):
             SynchronousEngine(graphs.cycle(3), metrics=MetricsRecorder())
 
-    def test_reference_backend_with_batch_program_warns(self):
-        class _Silent(BatchProtocol):
-            def step_batch(self, round_index, inbox):
-                self.halted[:] = True
-                return None
+    def test_reference_backend_with_batch_program_is_an_error(self):
+        with pytest.raises(ValueError, match="node_api='scalar'"):
+            SynchronousEngine(
+                graphs.cycle(3),
+                TestBatchProtocolBase._Silent(3),
+                MetricsRecorder(),
+                backend="reference",
+            )
 
+    def test_node_list_runs_on_the_batch_core(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        trace = tmp_path / "trace.jsonl"
+        tracer = JsonlTracer(trace)
+        rng = RandomSource(0)
+        nodes = [_EchoNode(v, 2, rng.spawn()) for v in range(3)]
         engine = SynchronousEngine(
-            graphs.cycle(3), _Silent(3), MetricsRecorder(), backend="reference"
+            graphs.cycle(3), nodes, MetricsRecorder(), tracer=tracer
         )
-        with pytest.warns(RuntimeWarning, match="node_api='scalar'"):
-            engine.run(max_rounds=2)
+        engine.run(max_rounds=3)
+        tracer.close()
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        starts = [r["path"] for r in records if r["event"] == "engine_start"]
+        assert starts == ["batch"]
+        assert isinstance(engine.program, ScalarAdapter)
 
 
 class _Planned(BatchProtocol):

@@ -1,7 +1,8 @@
 """Property tests: telemetry observes, it never participates.
 
 For any engine-driven scenario configuration — fault-free or
-adversarial, on either engine backend and either node API — running
+adversarial, on either engine backend and either node API (the
+reference backend runs the scalar one) — running
 with tracing and/or profiling enabled must leave every result artifact
 bit-identical to the bare run: the ``TrialSet`` aggregates, the
 content-addressed store keys (format v4), and the stored bytes.
@@ -108,6 +109,8 @@ class TestTelemetryInvariance:
     def test_traced_run_is_bit_identical(
         self, config_index, seed, engine, node_api, traced, profiled
     ):
+        if engine == "reference":
+            node_api = "scalar"  # the reference oracle runs node lists only
         with _clean_env(REPRO_ENGINE=engine):
             scenario = _scenario(config_index, seed, engine, node_api)
             bare = _artifacts(scenario, engine, traced=False, profiled=False)

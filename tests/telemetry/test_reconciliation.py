@@ -25,8 +25,9 @@ from repro.runtime import get_scenario
 from repro.telemetry import reset_telemetry
 from repro.util.rng import RandomSource
 
-#: Engine-driven catalogue scenarios covering the loss classes and all
-#: three dispatch paths (lcr is batch-capable, hs is scalar).
+#: Engine-driven catalogue scenarios covering the loss classes and both
+#: program kinds on the batch core (lcr runs its array-native port, hs
+#: its scalar nodes through ScalarAdapter).
 SCENARIOS = [
     ("ring-le-lossy/lcr", 16, 5),
     ("ring-le-crash/hs", 16, 5),

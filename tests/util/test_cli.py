@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -354,6 +357,56 @@ class TestNodeApiFlag:
         captured = capsys.readouterr()
         assert code == 0
         assert "classical side only" in captured.err
+
+
+class TestEngineFlag:
+    def test_reference_alone_runs_the_scalar_oracle(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "16",
+             "--seed", "4", "--engine", "reference", "--trace", str(trace)]
+        )
+        assert code == 0
+        assert "node-api scalar" in capsys.readouterr().out
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        paths = [r["path"] for r in records if r["event"] == "engine_start"]
+        assert paths == ["reference"]
+
+    def test_reference_with_batch_node_api_is_exit_2(self, capsys):
+        code = main(
+            ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "16",
+             "--engine", "reference", "--node-api", "batch"]
+        )
+        assert code == 2
+        assert "--node-api batch" in capsys.readouterr().err
+
+    def test_reference_sweep_shares_the_scalar_store_key(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        argv = ["sweep", "--scenario", "ring-le/lcr", "--sizes", "8",
+                "--trials", "2", "--jobs", "1"]
+        assert main(argv + ["--engine", "reference"]) == 0
+        reference_out = capsys.readouterr().out
+        assert main(argv + ["--node-api", "scalar"]) == 0
+        assert capsys.readouterr().out == reference_out
+        assert len(sorted(tmp_path.glob("*.json"))) == 1
+
+    def test_serve_and_metrics_have_no_engine_flag(self):
+        for command in (["serve"], ["metrics", "--scenario", "ring-le/lcr"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--engine", "fast"])
+
+    def test_main_restores_the_repro_environment(self, capsys, tmp_path):
+        before = dict(os.environ)
+        code = main(
+            ["sweep", "--scenario", "ring-le/lcr", "--sizes", "8",
+             "--trials", "1", "--jobs", "1", "--no-cache", "--kernel", "numpy",
+             "--engine", "reference", "--trace", str(tmp_path / "t.jsonl"),
+             "--profile"]
+        )
+        assert code == 0
+        assert dict(os.environ) == before
 
 
 class TestKernelFlag:
