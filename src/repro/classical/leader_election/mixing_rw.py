@@ -8,11 +8,19 @@ query walks collide with a higher-ranked candidate's referee endpoints with
 high probability (the birthday paradox again).  Every walk costs Θ(τ)
 messages, giving Õ(τ·√n) total — the envelope QuantumRWLE's
 Õ(τ^{5/3}·n^{1/3}) beats for small τ.
+
+Each phase's walks run as one column
+(:meth:`~repro.network.random_walk.RandomWalk.endpoints`, one array step per
+hop), and endpoints hold dense rank levels
+(:meth:`~repro.core.candidates.CandidateDraw.rank_levels`) rather than ranks,
+so comparisons stay exact where ranks outgrow int64.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from repro.core.candidates import draw_candidates
 from repro.core.results import LeaderElectionResult
@@ -57,14 +65,14 @@ def classical_le_mixing(
             meta={"candidates": 0, "tau": tau, "walks": walks},
         )
 
-    # Referee walks: deposit ranks at near-stationary endpoints.
-    received: dict[int, int] = {}
-    for v in draw.candidates:
-        rank = draw.ranks[v]
-        for _ in range(walks):
-            endpoint = walk.endpoint(v, tau, rng)
-            if received.get(endpoint, 0) < rank:
-                received[endpoint] = rank
+    # Referee walks deposit ranks at near-stationary endpoints; a node keeps
+    # the highest rank level it receives (0: none).  Referee and query walks
+    # come from one child stream, referee walks first.
+    levels = np.repeat(draw.rank_levels(), walks)
+    starts = np.repeat(draw.candidates, walks)
+    walk_rng = rng.spawn()
+    held = np.zeros(n, dtype=np.int64)
+    np.maximum.at(held, walk.endpoints(starts, tau, walk_rng), levels)
     metrics.charge(
         "rw-le.referee-walks",
         messages=len(draw.candidates) * walks * tau,
@@ -73,14 +81,10 @@ def classical_le_mixing(
 
     # Query walks: each endpoint reports the highest rank it holds; the
     # answer travels back along the walk (another τ messages).
-    for v in draw.candidates:
-        rank = draw.ranks[v]
-        saw_higher = False
-        for _ in range(walks):
-            endpoint = walk.endpoint(v, tau, rng)
-            if received.get(endpoint, 0) > rank:
-                saw_higher = True
-        statuses[v] = Status.NON_ELECTED if saw_higher else Status.ELECTED
+    saw_higher = held[walk.endpoints(starts, tau, walk_rng)] > levels
+    elected = ~saw_higher.reshape(draw.count, walks).any(axis=1)
+    for v, won in zip(draw.candidates, elected.tolist()):
+        statuses[v] = Status.ELECTED if won else Status.NON_ELECTED
     metrics.charge(
         "rw-le.query-walks",
         messages=len(draw.candidates) * walks * 2 * tau,

@@ -50,6 +50,17 @@ class CandidateDraw:
     def has_unique_ranks(self) -> bool:
         return len(set(self.ranks.values())) == len(self.ranks)
 
+    def rank_levels(self) -> np.ndarray:
+        """Dense rank level of each candidate, in ``candidates`` order.
+
+        Level 1 is the lowest distinct rank and tied ranks share a level, so
+        comparing levels is comparing ranks; 0 is free to mean "no rank".
+        Ranks outgrow int64 once n⁴ ≥ 2⁶³ (n ≥ 55,109), so they are ordered
+        as Python ints and only the levels become an int64 column.
+        """
+        ranks = np.array([self.ranks[v] for v in self.candidates], dtype=object)
+        return np.unique(ranks, return_inverse=True)[1].astype(np.int64) + 1
+
     def highest_ranked(self) -> int:
         """Candidate with the highest rank (ties broken by node id — the
         simulator's bookkeeping only; protocols never rely on it)."""

@@ -16,11 +16,19 @@ random walks (Section 5.2):
 
 Theorem 5.4: Õ(τk + τ²√(n/k)) messages; k = Θ(τ^{2/3}·n^{1/3}) gives
 Corollary 5.5's Õ(τ^{5/3}·n^{1/3}), beating the classical Õ(τ√n).
+
+The simulation walks all C·k referee tokens as one column
+(:meth:`~repro.network.random_walk.RandomWalk.endpoints`, one array step per
+hop) and records each node's highest received rank as a dense rank level
+(:meth:`~repro.core.candidates.CandidateDraw.rank_levels`), so ranks compare
+exactly even where they outgrow int64.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from repro.core.candidates import draw_candidates
 from repro.core.grover import distributed_grover_search
@@ -109,14 +117,16 @@ def quantum_rwle(
         )
 
     # -- classical phase: referee walks ----------------------------------------------
-    # k tokens per candidate, each carrying the rank (one message per hop).
-    received: dict[int, int] = {}
-    for v in draw.candidates:
-        rank = draw.ranks[v]
-        for _ in range(k):
-            endpoint = walk.endpoint(v, walk_length, rng)
-            if received.get(endpoint, 0) < rank:
-                received[endpoint] = rank
+    # k tokens per candidate, each carrying the rank (one message per hop),
+    # all walked together from one child stream: the walk count never shifts
+    # the Grover draws that follow.  A node keeps the highest rank level it
+    # receives (0: none).
+    levels = draw.rank_levels()
+    endpoints = walk.endpoints(
+        np.repeat(draw.candidates, k), walk_length, rng.spawn()
+    )
+    held = np.zeros(n, dtype=np.int64)
+    np.maximum.at(held, endpoints, np.repeat(levels, k))
     metrics.charge(
         "quantum-rwle.referee-walks",
         messages=len(draw.candidates) * k * walk_length,
@@ -138,10 +148,9 @@ def quantum_rwle(
     checking_rounds = 2 * walk_length
     epsilon = k / (EPSILON_SLACK * n)
 
-    def make_task(v: int):
-        rank_v = draw.ranks[v]
-        higher_holders = {w for w, r in received.items() if r > rank_v}
-        marked_fraction = walk.hit_probability(v, walk_length, higher_holders)
+    def make_task(v: int, level: int):
+        holders = np.flatnonzero(held > level).tolist()
+        marked_fraction = walk.hit_probability(v, walk_length, holders)
         # The Grover domain is the (huge) space of random-choice strings; the
         # dynamics only need the marked fraction, which we realize exactly on
         # an integer domain of matching resolution.
@@ -150,7 +159,6 @@ def quantum_rwle(
             marked_count = max(1, round(marked_fraction * resolution))
         else:
             marked_count = 0
-        holders = sorted(higher_holders)
 
         oracle = CountOracle(
             domain_size=resolution,
@@ -173,7 +181,7 @@ def quantum_rwle(
     searches = run_in_parallel(
         metrics,
         "quantum-rwle.grover",
-        [make_task(v) for v in draw.candidates],
+        [make_task(v, level) for v, level in zip(draw.candidates, levels.tolist())],
     )
 
     for v, search in zip(draw.candidates, searches):

@@ -7,7 +7,7 @@ Workers (``repro worker DIR``) pull shards under heartbeat leases,
 execute them through the existing ``run_scenario`` trial path with
 bit-identical per-trial RNG derivation, and push results into the
 content-addressed :class:`~repro.runtime.store.ResultStore` (key format
-v5).  Idempotent shards + atomic lease files make any sweep resumable
+v6).  Idempotent shards + atomic lease files make any sweep resumable
 after worker crashes: a dead worker's lease expires and the shard is
 re-issued; duplicate completions write byte-identical files.
 

@@ -9,7 +9,7 @@ One fabric directory holds one sweep job::
       done/p0003.json      completion marker (idempotent; duplicates merge)
       workers/<id>.json    worker registrations (mtime doubles as heartbeat)
       results/             the job's ResultStore (unless the manifest pins
-                           another root) — content-addressed, key format v5
+                           another root) — content-addressed, key format v6
 
 Every mutation is either an atomic create (``O_CREAT | O_EXCL`` — the
 claim primitive) or an atomic replace (tmp + ``os.replace``), so workers

@@ -12,7 +12,7 @@ grid order, and the shard takes its contiguous slice — so a shard's
 :class:`~repro.runtime.runner.TrialSet` is bit-identical no matter which
 worker (or how many, or after how many crashes) executes it.  Results
 land in the job's :class:`~repro.runtime.store.ResultStore` under the
-same content-addressed keys (format v5) the cache layer uses, which makes
+same content-addressed keys (format v6) the cache layer uses, which makes
 every shard idempotent: re-execution after a crash, a stale-lease
 takeover, or a duplicated claim rewrites byte-identical files.
 

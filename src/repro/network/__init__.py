@@ -22,7 +22,6 @@ from repro.network.metrics import MetricsRecorder, PhaseMetrics
 from repro.network.node import Node, Status
 from repro.network.random_walk import (
     RandomWalk,
-    WalkToken,
     estimate_mixing_time,
     lazy_transition_matrix,
     spectral_gap,
@@ -83,7 +82,6 @@ __all__ = [
     "Status",
     "SynchronousEngine",
     "Topology",
-    "WalkToken",
     "bfs_distances",
     "default_backend",
     "bfs_tree",

@@ -3,7 +3,8 @@
 QuantumRWLE (Section 5.2) assumes nodes know (an upper bound on) the network's
 mixing time τ.  This module provides:
 
-* step-by-step walk simulation (the classical referee walks),
+* column walk simulation — every walk of a phase advances together, one
+  array step per hop (the referee and query walks),
 * exact t-step distributions via sparse matrix-vector products (used to
   compute the exact marked fraction ε_f seen by the Grover phase),
 * spectral-gap and mixing-time estimation for the lazy walk.
@@ -15,6 +16,7 @@ on bipartite graphs like the hypercube) never spoils convergence.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +28,6 @@ from repro.util.rng import RandomSource
 
 __all__ = [
     "RandomWalk",
-    "WalkToken",
     "estimate_mixing_time",
     "lazy_transition_matrix",
     "spectral_gap",
@@ -100,23 +101,12 @@ def estimate_mixing_time(topology: Topology, accuracy: float | None = None) -> i
     return max(1, math.ceil(tau))
 
 
-class WalkToken:
-    """A classical token performing a walk, for the referee phase of RWLE."""
-
-    __slots__ = ("origin", "position", "steps", "payload")
-
-    def __init__(self, origin: int, payload=None):
-        self.origin = origin
-        self.position = origin
-        self.steps = 0
-        self.payload = payload
-
-
 class RandomWalk:
     """Simulation and exact analysis of lazy random walks on a topology."""
 
     def __init__(self, topology: Topology):
         self._topology = as_explicit(topology)
+        self._ports = topology.port_table()
         self._transition: sp.csr_matrix | None = None
 
     @property
@@ -130,28 +120,28 @@ class RandomWalk:
 
     # -- simulation ------------------------------------------------------------
 
-    def step(self, position: int, rng: RandomSource) -> int:
-        """One lazy step from ``position`` using private randomness."""
-        if rng.bernoulli(0.5):
-            return position
-        neighbours = self._topology.adjacency_list(position)
-        return int(neighbours[rng.uniform_int(0, len(neighbours) - 1)])
+    def endpoints(
+        self, starts: Sequence[int] | np.ndarray, length: int, rng: RandomSource
+    ) -> np.ndarray:
+        """Endpoints of one ``length``-step lazy walk per entry of ``starts``.
 
-    def run(self, start: int, length: int, rng: RandomSource) -> list[int]:
-        """Trajectory of a ``length``-step lazy walk (including the start)."""
-        trajectory = [start]
-        position = start
+        All walks advance together: each step draws one column of lazy
+        coins (stay with probability ½) and, for the walks that move, one
+        column of uniform ports, then routes them with one gather through
+        the topology's cached port table.  ``starts`` is left unchanged.
+        """
+        positions = np.array(starts, dtype=np.int64)
+        generator = rng.generator
         for _ in range(length):
-            position = self.step(position, rng)
-            trajectory.append(position)
-        return trajectory
+            moving = np.flatnonzero(generator.random(positions.size) >= 0.5)
+            here = positions[moving]
+            ports = generator.integers(0, self._ports.degrees_of(here))
+            positions[moving] = self._ports.receivers(here, ports)
+        return positions
 
     def endpoint(self, start: int, length: int, rng: RandomSource) -> int:
-        """Endpoint of a ``length``-step lazy walk."""
-        position = start
-        for _ in range(length):
-            position = self.step(position, rng)
-        return position
+        """Endpoint of a ``length``-step lazy walk from ``start``."""
+        return int(self.endpoints([start], length, rng)[0])
 
     def choices_for_walk(self, length: int, rng: RandomSource) -> list[tuple[bool, float]]:
         """Pre-drawn random choices for a walk, as QuantumRWLE's initiator does.
@@ -180,12 +170,14 @@ class RandomWalk:
         """Exact distribution of the walk position after ``steps`` steps."""
         state = np.zeros(self._topology.n)
         state[start] = 1.0
-        matrix = self._matrix()
+        transposed = self._matrix().T
         for _ in range(steps):
-            state = matrix.T @ state
+            state = transposed @ state
         return state
 
-    def hit_probability(self, start: int, steps: int, targets: set[int]) -> float:
+    def hit_probability(
+        self, start: int, steps: int, targets: Collection[int]
+    ) -> float:
         """P[walk endpoint ∈ targets] after exactly ``steps`` steps."""
         if not targets:
             return 0.0

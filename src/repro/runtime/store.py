@@ -73,7 +73,10 @@ DEFAULT_CACHE_MAX_ENTRIES = 4096
 #: changed (candidacy and ranks from one lottery column, ring ids from
 #: one id column, private streams only for candidates), so trial sets
 #: computed before the change are never served for the new code.
-_FORMAT_VERSION = 5
+#: v6: the mixing-time LE drivers (QuantumRWLE and the classical
+#: random-walk LE) walk every token of a trial as one column from one child
+#: stream, so their trial sets changed for a fixed seed.
+_FORMAT_VERSION = 6
 
 
 def _default_root() -> pathlib.Path:

@@ -1,9 +1,17 @@
 """Tests for QuantumRWLE (Algorithm 2) on graphs with mixing time τ."""
 
+import math
+
 import pytest
 
+from repro.core.candidates import draw_candidates
+from repro.core.grover import GroverSearchResult
+from repro.core.leader_election import mixing
 from repro.core.leader_election.mixing import default_k_mixing, quantum_rwle
 from repro.network import graphs
+from repro.network.message import messages_for_bits
+from repro.network.node import Status
+from repro.network.random_walk import RandomWalk
 from repro.util.fault import FaultInjector
 from repro.util.rng import RandomSource
 
@@ -60,18 +68,34 @@ class TestCostAccounting:
         expected = result.meta["candidates"] * 3 * 10
         assert labels["quantum-rwle.referee-walks"] == expected
 
-    def test_checking_cost_grows_quadratically_with_tau(self):
-        """The τ → τ² blow-up: per-candidate quantum-phase cost at τ vs 4τ
-        grows ≈ 16× (up to CONGEST word-packing granularity)."""
-        costs = {}
+    def test_checking_cost_grows_quadratically_with_tau(self, monkeypatch):
+        """The τ → τ² blow-up: one Checking call at 4τ costs ≈ 16× one call
+        at τ (up to CONGEST word-packing granularity).
+
+        The ledger total is the per-call cost times a random number of
+        calls, so divide by the calls the Grover searches report."""
+        calls = []
+        search = mixing.distributed_grover_search
+
+        def spy(*args, **kwargs):
+            result = search(*args, **kwargs)
+            calls.append(result.checking_calls)
+            return result
+
+        monkeypatch.setattr(mixing, "distributed_grover_search", spy)
+        n = 64
+        per_call = {}
         for tau in (16, 64):
+            calls.clear()
             rng = RandomSource(9)
             result = quantum_rwle(graphs.hypercube(6), rng, tau=tau, k=4, alpha=0.1)
             grover = result.metrics.ledger.messages_by_label()[
                 "quantum-rwle.grover.checking"
             ]
-            costs[tau] = grover / result.meta["candidates"]
-        ratio = costs[64] / costs[16]
+            per_call[tau] = grover / sum(calls)
+            bits = tau * (1 + math.ceil(math.log2(n)))
+            assert per_call[tau] == tau * messages_for_bits(bits, n) + tau
+        ratio = per_call[64] / per_call[16]
         assert 10 < ratio < 22  # ideal 16, quantized by word packing
 
     def test_rounds_deterministic(self):
@@ -100,3 +124,52 @@ class TestFaultPaths:
             graphs.hypercube(5), RandomSource(1), tau=8, faults=faults
         )
         assert len(result.elected) == result.meta["candidates"]
+
+
+class TestRankLevels:
+    def test_ranks_past_int64_with_a_tie(self, monkeypatch):
+        """Ranks ≥ 2⁶⁴ (all alike in their low 64 bits) and a forced tie at
+        the top: each candidate's status matches Python-int comparisons."""
+        draws, referee = [], []
+
+        def big_ranks(n, rng, faults=None):
+            draw = draw_candidates(n, rng, faults=faults)
+            draw.ranks = {v: r << 64 for v, r in draw.ranks.items()}
+            draws.append(draw)
+            return draw
+
+        endpoints = RandomWalk.endpoints
+
+        def spy(self, starts, length, rng):
+            ends = endpoints(self, starts, length, rng)
+            referee.append((list(starts), ends.tolist()))
+            return ends
+
+        def exact_grover(oracle, epsilon, alpha, metrics, rng, faults=None):
+            found = oracle.sample_marked(rng) if oracle.marked_count() else None
+            return GroverSearchResult(found, 1, 0, 1)
+
+        monkeypatch.setattr(mixing, "draw_candidates", big_ranks)
+        monkeypatch.setattr(RandomWalk, "endpoints", spy)
+        monkeypatch.setattr(mixing, "distributed_grover_search", exact_grover)
+        faults = FaultInjector()
+        faults.force("candidates.force_tie")
+        topology = graphs.hypercube(6)
+        result = quantum_rwle(topology, RandomSource(4), tau=8, k=6, faults=faults)
+
+        (draw,) = draws
+        ranks = draw.ranks
+        assert min(ranks.values()) >= 1 << 64
+        top = sorted(ranks.values())
+        assert top[-1] == top[-2]
+        received: dict[int, int] = {}
+        ((starts, ends),) = referee
+        for v, end in zip(starts, ends):
+            received[end] = max(received.get(end, 0), ranks[v])
+        walk = RandomWalk(topology)
+        for v in draw.candidates:
+            higher = {w for w, r in received.items() if r > ranks[v]}
+            reachable = walk.hit_probability(v, 8, higher) > 0.0
+            expected = Status.NON_ELECTED if reachable else Status.ELECTED
+            assert result.statuses[v] == expected
+        assert len(result.elected) == 2  # the tied pair

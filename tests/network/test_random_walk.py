@@ -97,13 +97,17 @@ class TestMixingTime:
 
 
 class TestRandomWalkSimulation:
-    def test_run_length_and_adjacency(self, rng):
+    def test_endpoints_length_and_adjacency(self, rng):
         t = graphs.cycle(10)
         walk = RandomWalk(t)
-        trajectory = walk.run(0, 20, rng)
+        trajectory = [np.arange(10)]
+        for _ in range(20):
+            trajectory.append(walk.endpoints(trajectory[-1], 1, rng))
         assert len(trajectory) == 21
         for a, b in zip(trajectory, trajectory[1:]):
-            assert a == b or t.has_edge(a, b)
+            assert len(b) == 10
+            for x, y in zip(a.tolist(), b.tolist()):
+                assert x == y or t.has_edge(x, y)
 
     def test_endpoint_matches_run_semantics(self, rng):
         t = graphs.complete(6)
@@ -159,3 +163,65 @@ class TestRandomWalkSimulation:
         samples = [walk.endpoint(1, steps, rng) for _ in range(4000)]
         empirical = np.bincount(samples, minlength=6) / 4000
         assert np.abs(empirical - exact).max() < 0.05
+
+
+class TestColumnWalks:
+    """``RandomWalk.endpoints``: every walk advances one array step per hop."""
+
+    @pytest.mark.parametrize(
+        "topology, start",
+        [
+            (graphs.star(6), 1),
+            (graphs.cycle(7), 0),
+            (graphs.hypercube(4), 5),
+            (graphs.lollipop(5, 4), 8),  # uneven degrees: tail end of the stick
+        ],
+        ids=["star6", "cycle7", "hypercube4", "lollipop5-4"],
+    )
+    def test_endpoint_distribution_matches_exact(self, topology, start):
+        walk = RandomWalk(topology)
+        steps, count = 6, 20_000
+        ends = walk.endpoints(np.full(count, start), steps, RandomSource(7))
+        empirical = np.bincount(ends, minlength=topology.n) / count
+        exact = walk.distribution_after(start, steps)
+        # ~5σ at 20,000 samples (σ ≤ 0.5/√20,000 ≈ 0.0035), fixed beforehand.
+        assert np.abs(empirical - exact).max() < 0.02
+
+    def test_one_step_reaches_start_or_neighbour(self, rng):
+        t = graphs.lollipop(5, 4)
+        walk = RandomWalk(t)
+        starts = np.repeat(np.arange(t.n), 50)
+        ends = walk.endpoints(starts, 1, rng)
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            assert end == start or t.has_edge(start, end)
+        assert (ends != starts).any() and (ends == starts).any()
+
+    def test_zero_length_returns_starts(self, rng):
+        walk = RandomWalk(graphs.hypercube(3))
+        starts = np.array([0, 3, 3, 7])
+        assert walk.endpoints(starts, 0, rng).tolist() == [0, 3, 3, 7]
+
+    def test_starts_left_unchanged(self, rng):
+        walk = RandomWalk(graphs.cycle(9))
+        starts = np.arange(9)
+        walk.endpoints(starts, 12, rng)
+        assert starts.tolist() == list(range(9))
+
+    def test_same_seed_same_endpoints(self):
+        walk = RandomWalk(graphs.lollipop(5, 4))
+        starts = np.repeat(np.arange(9), 20)
+        a = walk.endpoints(starts, 10, RandomSource(3))
+        b = walk.endpoints(starts, 10, RandomSource(3))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "topology", [graphs.cycle(7), graphs.lollipop(5, 4)], ids=["cycle7", "lollipop5-4"]
+    )
+    def test_distribution_after_matches_per_step_transpose(self, topology):
+        """Hoisting Pᵀ out of the loop keeps the result bit-identical."""
+        matrix = lazy_transition_matrix(topology)
+        state = np.zeros(topology.n)
+        state[0] = 1.0
+        for _ in range(9):
+            state = matrix.T @ state
+        assert np.array_equal(RandomWalk(topology).distribution_after(0, 9), state)

@@ -107,7 +107,7 @@ class TestStoreKeysV3:
     def test_identity_records_resolved_node_api(self):
         scenario = get_scenario("ring-le/lcr")
         identity = ResultStore.identity(scenario, 8, 0)
-        assert identity["version"] == _FORMAT_VERSION == 5
+        assert identity["version"] == _FORMAT_VERSION == 6
         assert identity["node_api"] == "batch"
 
     def test_batch_and_scalar_keys_differ(self, tmp_path):
