@@ -366,6 +366,9 @@ class _HSBatch(BatchProtocol):
         self.replies = np.zeros(n, dtype=np.int64)
         # Per-(node, direction) outbox slots: slot 2v is v's clockwise
         # message this round, slot 2v+1 its counterclockwise one.
+        self.slot_port = np.empty(2 * n, dtype=np.int64)
+        self.slot_port[0::2] = self.cw_port
+        self.slot_port[1::2] = self.ccw_port
         self.slot_rank = np.zeros(2 * n, dtype=np.int64)
         self.slot_kind = np.zeros(2 * n, dtype=np.int64)
         self.slot_value = np.zeros(2 * n, dtype=np.int64)
@@ -410,21 +413,25 @@ class _HSBatch(BatchProtocol):
     def _flush(self):
         if not self._touched:
             return None
-        slots = np.unique(np.concatenate(self._touched))
-        senders = slots >> 1
-        dirs = slots & 1
-        order = np.lexsort((dirs, self.slot_seq[slots], senders))
-        slots = slots[order]
-        senders = senders[order]
-        dirs = dirs[order]
+        # One _emit fills distinct nodes in ascending order, so its slots
+        # are already in canonical send order.  Several may fill a slot
+        # twice (dedup) or one sender's two slots (order them by fill
+        # sequence, the scalar dict's insertion order).
+        if len(self._touched) == 1:
+            slots = self._touched[0]
+        else:
+            slots = np.unique(np.concatenate(self._touched))
+            senders = slots >> 1
+            if (senders[1:] == senders[:-1]).any():
+                slots = slots[
+                    np.lexsort((slots & 1, self.slot_seq[slots], senders))
+                ]
         batch = MessageBatch(
-            senders=senders,
-            ports=np.where(
-                dirs == 0, self.cw_port[senders], self.ccw_port[senders]
-            ),
-            kinds=self.slot_kind[slots].copy(),
-            values=self.slot_value[slots].copy(),
-            extras={"hops": self.slot_hops[slots].copy()},
+            senders=slots >> 1,
+            ports=self.slot_port[slots],
+            kinds=self.slot_kind[slots],
+            values=self.slot_value[slots],
+            extras={"hops": self.slot_hops[slots]},
         )
         self.slot_rank[slots] = 0
         self._touched = []
@@ -435,50 +442,58 @@ class _HSBatch(BatchProtocol):
     def _pass(self, v, port, kind, val, hop) -> None:
         """Process each selected node's next inbox message (≤ 1 per node)."""
         arrive_dir = np.where(port == self.cw_port[v], 0, 1)
-        probe = kind == _HS_PROBE
-        reply = kind == _HS_REPLY
-        halt = kind == _HS_HALT
         my_id = self.ring_id[v]
-
-        # Own probe circled the whole ring: we win (idempotent per round).
-        own = probe & (val == my_id) & (self.status_codes[v] != STATUS_ELECTED)
-        if own.any():
-            w = v[own]
-            self.status_codes[w] = STATUS_ELECTED
-            self._emit(w, 0, _HS_HALT, self.ring_id[w], 0, 3)
-
-        bigger = probe & (val > my_id)
-        fwd = bigger & (hop > 1)
-        if fwd.any():
-            self._emit(
-                v[fwd], 1 - arrive_dir[fwd], _HS_PROBE, val[fwd], hop[fwd] - 1, 1
+        # Each kind's branch runs only when the kind is present; the
+        # _emit calls keep their order, which fixes the slot sequence
+        # numbers and so the canonical send order.
+        probe = kind == _HS_PROBE
+        if probe.any():
+            # Own probe circled the whole ring: we win (idempotent per
+            # round).
+            own = (
+                probe & (val == my_id) & (self.status_codes[v] != STATUS_ELECTED)
             )
-        turn = bigger & (hop == 1)
-        if turn.any():
-            self._emit(v[turn], arrive_dir[turn], _HS_REPLY, val[turn], 0, 2)
+            if own.any():
+                w = v[own]
+                self.status_codes[w] = STATUS_ELECTED
+                self._emit(w, 0, _HS_HALT, self.ring_id[w], 0, 3)
 
-        mine = reply & (val == my_id)
-        if mine.any():
-            w = v[mine]
-            self.replies[w] += 1
-            up = w[self.replies[w] == 2]
-            if len(up):
-                self.replies[up] = 0
-                self.phase[up] += 1
-                new_hops = np.int64(1) << self.phase[up]
-                self._emit(up, 0, _HS_PROBE, self.ring_id[up], new_hops, 1)
-                self._emit(up, 1, _HS_PROBE, self.ring_id[up], new_hops, 1)
-        fwd_reply = reply & (val != my_id)
-        if fwd_reply.any():
-            self._emit(
-                v[fwd_reply],
-                1 - arrive_dir[fwd_reply],
-                _HS_REPLY,
-                val[fwd_reply],
-                0,
-                2,
-            )
+            bigger = probe & (val > my_id)
+            fwd = bigger & (hop > 1)
+            if fwd.any():
+                self._emit(
+                    v[fwd], 1 - arrive_dir[fwd], _HS_PROBE, val[fwd],
+                    hop[fwd] - 1, 1,
+                )
+            turn = bigger & (hop == 1)
+            if turn.any():
+                self._emit(v[turn], arrive_dir[turn], _HS_REPLY, val[turn], 0, 2)
 
+        reply = kind == _HS_REPLY
+        if reply.any():
+            mine = reply & (val == my_id)
+            if mine.any():
+                w = v[mine]
+                self.replies[w] += 1
+                up = w[self.replies[w] == 2]
+                if len(up):
+                    self.replies[up] = 0
+                    self.phase[up] += 1
+                    new_hops = np.int64(1) << self.phase[up]
+                    self._emit(up, 0, _HS_PROBE, self.ring_id[up], new_hops, 1)
+                    self._emit(up, 1, _HS_PROBE, self.ring_id[up], new_hops, 1)
+            fwd_reply = reply & (val != my_id)
+            if fwd_reply.any():
+                self._emit(
+                    v[fwd_reply],
+                    1 - arrive_dir[fwd_reply],
+                    _HS_REPLY,
+                    val[fwd_reply],
+                    0,
+                    2,
+                )
+
+        halt = kind == _HS_HALT
         if halt.any():
             elected = self.status_codes[v] == STATUS_ELECTED
             # A halting node still processes its remaining inbox (and its
@@ -503,10 +518,14 @@ class _HSBatch(BatchProtocol):
             return None
         rec = inbox.receivers
         hops = inbox.extras["hops"]
+        repeat = rec[1:] == rec[:-1]
+        if not repeat.any():
+            self._pass(rec, inbox.ports, inbox.kinds, inbox.values, hops)
+            return self._flush()
         # Pass k processes every node's k-th inbox row, so sequential
         # per-node state updates land before the node's next message.
         first = np.ones(len(rec), dtype=bool)
-        first[1:] = rec[1:] != rec[:-1]
+        first[1:] = ~repeat
         starts = np.nonzero(first)[0]
         sizes = np.diff(np.append(starts, len(rec)))
         k_rank = np.arange(len(rec)) - np.repeat(starts, sizes)

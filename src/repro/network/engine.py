@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import gc
 import os
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -198,10 +199,20 @@ class SynchronousEngine:
                 max_rounds=max_rounds,
                 adversary=self.adversary is not None,
             )
+        rounds_before = self.rounds_executed
+        units_before = self._units_total
         if path == "batch":
             rounds = self._run_batch(max_rounds)
         else:
             rounds = self._run_reference(max_rounds)
+        # One ledger entry per run, not per round: a long sparse run (an HS
+        # ring runs ~4n rounds) would otherwise append one object per round.
+        if rounds > rounds_before:
+            self.metrics.charge(
+                self.label,
+                messages=self._units_total - units_before,
+                rounds=rounds - rounds_before,
+            )
         if tracer.enabled:
             tracer.emit(
                 "engine_end",
@@ -350,7 +361,6 @@ class SynchronousEngine:
                     message.sender_port = port
                     sends.append((v, port, message))
                     messages_this_round += message.message_units(n)
-            self.metrics.charge(self.label, messages=messages_this_round, rounds=1)
             self._units_total += messages_this_round
             next_inboxes = spare
             masks = None
@@ -518,15 +528,16 @@ class SynchronousEngine:
                 t_now = perf_counter()
                 prof.add("engine.step", t_now - t_phase)
                 t_phase = t_now
-            count = 0 if outbox is None else len(outbox)
-            round_sent = count
+            if outbox is None:
+                outbox = empty
+            count = round_sent = len(outbox)
             messages_this_round = 0
             delayed = adv.pop_delayed(round_index + 1) if adv is not None else []
-            receiver_arr = arrival_arr = None
+            receiver_arr = arrival_arr = empty.senders
             if count:
                 senders = outbox.senders
                 ports = outbox.ports
-                if count > 1 and np.any(np.diff(senders) < 0):
+                if count > 1 and (senders[1:] < senders[:-1]).any():
                     raise ValueError(
                         f"step_batch outbox violates canonical sender order "
                         f"in round {round_index} (senders must be ascending)"
@@ -556,6 +567,16 @@ class SynchronousEngine:
                             f"{[name for name, _ in extra_schema]}, got "
                             f"{list(outbox.extras)}"
                         )
+                elif extra_schema is not None:
+                    # A schema-less outbox keeps the run's extras layout,
+                    # zero-filled.
+                    outbox = replace(
+                        outbox,
+                        extras={
+                            name: np.zeros(count, dtype=dtype)
+                            for name, dtype in extra_schema
+                        },
+                    )
                 if object_mode:
                     payloads = outbox.payloads
                     for message, sender, port in zip(
@@ -645,82 +666,18 @@ class SynchronousEngine:
                 t_now = perf_counter()
                 prof.add("engine.gather", t_now - t_phase)
                 t_phase = t_now
-            # Assemble next round's inbox: delayed arrivals precede the
-            # round's direct sends (the reference oracle's append order);
-            # one stable sort groups rows by receiver while preserving it.
-            total = len(delayed) + count
-            if total:
-                d = len(delayed)
-                recv = np.empty(total, dtype=np.int64)
-                arrp = np.empty(total, dtype=np.int64)
-                orig = np.empty(total, dtype=np.int64)
-                if object_mode:
-                    pay: list = [None] * total
-                else:
-                    kinds = np.empty(total, dtype=np.int64)
-                    values = np.empty(total, dtype=np.int64)
-                    bits_col = np.zeros(total, dtype=np.int64)
-                    extra_cols = (
-                        []
-                        if extra_schema is None
-                        else [
-                            np.zeros(total, dtype=dtype)
-                            for _, dtype in extra_schema
-                        ]
+            if delayed:
+                inbox = self._receive(
+                    *self._prepend_delayed(
+                        delayed, receiver_arr, arrival_arr, outbox, extra_schema
                     )
-                for i, (receiver, port, payload) in enumerate(delayed):
-                    recv[i] = receiver
-                    arrp[i] = port
-                    if object_mode:
-                        orig[i] = payload.sender
-                        pay[i] = payload
-                    else:
-                        orig[i], kinds[i], values[i], bits_col[i] = payload[:4]
-                        # Rows delayed before the schema appeared carry no
-                        # extras tail; their columns stay zero-filled.
-                        for j, value in enumerate(payload[4:]):
-                            extra_cols[j][i] = value
-                if count:
-                    recv[d:] = receiver_arr
-                    arrp[d:] = arrival_arr
-                    orig[d:] = outbox.senders
-                    if object_mode:
-                        pay[d:] = outbox.payloads
-                    else:
-                        kinds[d:] = outbox.kinds
-                        values[d:] = outbox.values
-                        if outbox.bits is not None:
-                            bits_col[d:] = outbox.bits
-                        if outbox.extras is not None:
-                            for j, (name, _) in enumerate(extra_schema):
-                                extra_cols[j][d:] = outbox.extras[name]
-                order = self.kernels.stable_receiver_order(recv, n)
-                inbox = MessageBatch(
-                    senders=orig[order],
-                    ports=arrp[order],
-                    kinds=None if object_mode else kinds[order],
-                    values=None if object_mode else values[order],
-                    bits=None if object_mode else bits_col[order],
-                    payloads=(
-                        [pay[i] for i in order.tolist()] if object_mode else None
-                    ),
-                    extras=(
-                        None
-                        if object_mode or extra_schema is None
-                        else {
-                            name: column[order]
-                            for (name, _), column in zip(
-                                extra_schema, extra_cols
-                            )
-                        }
-                    ),
-                    receivers=recv[order],
                 )
+            elif count:
+                inbox = self._receive(receiver_arr, arrival_arr, outbox)
             else:
                 inbox = empty
             if prof is not None:
                 prof.add("engine.deliver", perf_counter() - t_phase)
-            self.metrics.charge(self.label, messages=messages_this_round, rounds=1)
             self._units_total += messages_this_round
             if trace_rounds:
                 tracer.emit(
@@ -741,10 +698,106 @@ class SynchronousEngine:
             self._in_flight += adv.pending_delayed
         return self.rounds_executed
 
+    def _receive(self, receivers, arrivals, rows: MessageBatch) -> MessageBatch:
+        """Next round's inbox: ``rows`` grouped by receiver.
+
+        ``rows`` come in the reference oracle's append order (delayed
+        arrivals, then the round's sends in canonical order); their
+        ``senders`` are the origins, and ``receivers``/``arrivals`` route
+        them.  One stable sort by receiver keeps that order within each
+        group, and every present column is gathered once through it.
+        """
+        order = self.kernels.stable_receiver_order(receivers, self.topology.n)
+        return MessageBatch(
+            senders=rows.senders[order],
+            ports=arrivals[order],
+            kinds=None if rows.kinds is None else rows.kinds[order],
+            values=None if rows.values is None else rows.values[order],
+            bits=None if rows.bits is None else rows.bits[order],
+            payloads=(
+                None
+                if rows.payloads is None
+                else [rows.payloads[i] for i in order.tolist()]
+            ),
+            extras=(
+                None
+                if rows.extras is None
+                else {name: column[order] for name, column in rows.extras.items()}
+            ),
+            receivers=receivers[order],
+        )
+
+    @staticmethod
+    def _prepend_delayed(delayed, receivers, arrivals, sent, extra_schema):
+        """``(receivers, arrivals, rows)`` of ``delayed``, then of ``sent``.
+
+        ``delayed`` holds the adversary queue's ``(receiver, arrival port,
+        payload)`` rows whose delay expired this round; ``receivers`` and
+        ``arrivals`` route the round's direct sends ``sent``.
+        """
+        held_receivers, held_arrivals, held = zip(*delayed)
+        receivers = np.concatenate(
+            (np.asarray(held_receivers, dtype=np.int64), receivers)
+        )
+        arrivals = np.concatenate(
+            (np.asarray(held_arrivals, dtype=np.int64), arrivals)
+        )
+        if sent.payloads is not None:
+            origins = np.fromiter(
+                (message.sender for message in held), dtype=np.int64,
+                count=len(held),
+            )
+            return receivers, arrivals, MessageBatch(
+                senders=np.concatenate((origins, sent.senders)),
+                ports=arrivals,
+                payloads=[*held, *sent.payloads],
+            )
+        # Column payloads are (origin, kind, value, bits, *extras) tuples.
+        # Rows delayed before the extras schema appeared have no extras
+        # tail; their extras are zero-filled.
+        schema = extra_schema or ()
+        width = 4 + len(schema)
+        held_columns = zip(*(row + (0,) * (width - len(row)) for row in held))
+        count = len(sent)
+        sent_columns = (
+            sent.senders,
+            sent.kinds,
+            sent.values,
+            np.zeros(count, dtype=np.int64) if sent.bits is None else sent.bits,
+            *(
+                np.zeros(count, dtype=dtype)
+                if sent.extras is None
+                else sent.extras[name]
+                for name, dtype in schema
+            ),
+        )
+        dtypes = (np.int64,) * 4 + tuple(dtype for _, dtype in schema)
+        senders, kinds, values, bits, *extras = (
+            np.concatenate((np.asarray(column, dtype=dtype), tail))
+            for column, tail, dtype in zip(held_columns, sent_columns, dtypes)
+        )
+        return receivers, arrivals, MessageBatch(
+            senders=senders,
+            ports=arrivals,
+            kinds=kinds,
+            values=values,
+            bits=bits,
+            extras=(
+                dict(zip((name for name, _ in schema), extras)) if schema else None
+            ),
+        )
+
     @staticmethod
     def _check_congest(senders, ports, max_ports: int, round_index: int) -> None:
-        """Duplicate (sender, port) pairs violate one-message-per-edge."""
+        """Duplicate (sender, port) pairs violate one-message-per-edge.
+
+        Senders arrive ascending, so a strictly rising slot column holds no
+        duplicate.  Only otherwise is it sorted, which finds the smallest
+        duplicated slot.
+        """
         slots = senders * max_ports + ports
+        if (slots[1:] > slots[:-1]).all():
+            return
         slots.sort()
         duplicates = np.nonzero(np.diff(slots) == 0)[0]
         if duplicates.size:

@@ -352,6 +352,12 @@ class CyclePortTable(PortTable):
     middle node ``v`` that is ``v-1``/``v+1``; the wrap nodes 0 and
     ``n-1`` see their neighbours re-sorted (0: ports → 1, n−1;
     n−1: ports → 0, n−2).
+
+    :meth:`route` resolves a round in one arithmetic pass: away from the
+    wrap, port ``p`` of ``v`` reaches ``v - 1 + 2p`` and arrives on port
+    ``1 - p``.  Only senders next to the wrap (``v < 2`` or ``v > n − 3``,
+    whose receiver may be a wrap node) go through :meth:`receivers` and
+    :meth:`reverse_ports`.
     """
 
     def __init__(self, n: int):
@@ -387,6 +393,20 @@ class CyclePortTable(PortTable):
     ) -> np.ndarray:
         lo, _ = self._sorted_neighbors(receivers)
         return np.where(senders == lo, 0, 1).astype(np.int64)
+
+    def route(
+        self, senders: np.ndarray, ports: np.ndarray, kernels=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        receivers = senders + 2 * ports - 1
+        arrivals = 1 - ports
+        if len(senders) and (
+            int(senders.min()) < 2 or int(senders.max()) > self._n - 3
+        ):
+            near = np.nonzero((senders < 2) | (senders > self._n - 3))[0]
+            s, p = senders[near], ports[near]
+            receivers[near] = self.receivers(s, p)
+            arrivals[near] = self.reverse_ports(s, p, receivers[near])
+        return receivers, arrivals
 
     def find_bad_port(self, senders: np.ndarray, ports: np.ndarray) -> int | None:
         return self._find_bad_port_uniform(ports, 2)

@@ -25,7 +25,8 @@ Costs are charged through the same MetricsRecorder contract as everywhere
 else: one coherent Checking = 2 messages (probe out, probe back), 2 rounds.
 
 Dense simulation is exponential in the number of leaves, so this is a
-validation instrument for ≤ 6 leaves, not a production path.
+validation instrument for ≤ 4 leaves, not a production path: 5 leaves
+already need 5,242,880 amplitudes, past the dense state's 2²² cap.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ class _RoutedGrover:
     """Unitary machinery for Grover on a star via routed port registers."""
 
     def __init__(self, leaf_bits: list[int]):
-        if not 1 <= len(leaf_bits) <= 6:
+        if not 1 <= len(leaf_bits) <= 4:
             raise ValueError(
-                f"dense routed simulation supports 1..6 leaves, got {len(leaf_bits)}"
+                f"dense routed simulation supports 1..4 leaves, got {len(leaf_bits)}"
             )
         if any(b not in (0, 1) for b in leaf_bits):
             raise ValueError("leaf bits must be 0/1")

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.classical.leader_election import ring
 from repro.classical.leader_election.ring import hirschberg_sinclair_ring, lcr_ring
 from repro.util.rng import RandomSource
 
@@ -50,6 +51,29 @@ class TestHirschbergSinclair:
         # 8n per phase, ceil(log2 n)+1 phases, plus halt lap and slack.
         bound = 10 * n * (math.ceil(math.log2(n)) + 2)
         assert result.messages <= bound
+
+    def test_batch_port_matches_scalar_oracle(self, monkeypatch):
+        """Rounds that hand one receiver two rows take the per-receiver
+        passes, the others one pass; both must match the scalar nodes
+        stepped by the reference engine."""
+        step_batch = ring._HSBatch.step_batch
+        shared, single = [], []
+
+        def spy(program, round_index, inbox):
+            rec = inbox.receivers
+            if len(rec):
+                repeat = (rec[1:] == rec[:-1]).any()
+                (shared if repeat else single).append(round_index)
+            return step_batch(program, round_index, inbox)
+
+        monkeypatch.setattr(ring._HSBatch, "step_batch", spy)
+        batch = hirschberg_sinclair_ring(32, RandomSource(1), node_api="batch")
+        assert shared and single
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        scalar = hirschberg_sinclair_ring(32, RandomSource(1), node_api="scalar")
+        assert batch.success
+        assert batch.statuses == scalar.statuses
+        assert (batch.messages, batch.rounds) == (scalar.messages, scalar.rounds)
 
     def test_hs_beats_lcr_asymptotically_on_bad_orders(self):
         """On average random ids LCR is fine, but HS has the better worst-case

@@ -217,6 +217,23 @@ class TestBatchDispatchValidation:
         with pytest.raises(CongestViolation):
             engine.run(max_rounds=2)
 
+    def test_congest_violation_found_when_not_adjacent(self):
+        # Ports out of order: the slot column is not strictly rising, so
+        # the check sorts it and reports the duplicated slot.
+        program = _Planned(4, [0, 0, 0], [1, 0, 1])
+        engine = SynchronousEngine(graphs.cycle(4), program, MetricsRecorder())
+        with pytest.raises(
+            CongestViolation, match="node 0 sent two messages on port 1 "
+        ):
+            engine.run(max_rounds=2)
+
+    def test_out_of_order_distinct_ports_pass(self):
+        program = _Planned(4, [0, 0], [1, 0])
+        metrics = MetricsRecorder()
+        engine = SynchronousEngine(graphs.cycle(4), program, metrics)
+        engine.run(max_rounds=2)
+        assert metrics.messages == 2
+
     def test_bits_column_charges_multi_unit_messages(self):
         n = 8
         bits = 2 * congest_capacity_bits(n)

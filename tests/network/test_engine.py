@@ -7,6 +7,7 @@ from repro.network.engine import CongestViolation, SynchronousEngine
 from repro.network.message import Message, congest_capacity_bits
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Node
+from repro.util.ledger import LedgerEntry
 from repro.util.rng import RandomSource
 
 
@@ -209,3 +210,23 @@ class TestUndelivered:
         engine.run(max_rounds=5)
         # node 1 halted in round 0; node 0's round-0 message was never read.
         assert engine.undelivered() == 1
+
+
+class TestLedger:
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_one_entry_per_run(self, backend):
+        t = graphs.cycle(6)
+        rng = RandomSource(0)
+        metrics = MetricsRecorder()
+        nodes = [_Flooder(v, 2, rng.spawn()) for v in range(6)]
+        engine = SynchronousEngine(
+            t, nodes, metrics, label="flood", backend=backend
+        )
+        engine.run(max_rounds=1)  # round 0: 12 pings
+        engine.run(max_rounds=5)  # round 1: every node halts, silent
+        engine.run(max_rounds=5)  # nothing alive: zero rounds, no entry
+        assert metrics.ledger.entries == [
+            LedgerEntry("flood", messages=12, rounds=1),
+            LedgerEntry("flood", messages=0, rounds=1),
+        ]
+        assert (metrics.messages, metrics.rounds) == (12, 2)

@@ -23,6 +23,9 @@ def _all_family_topologies():
         "complete": graphs.complete(11),
         "star": graphs.star(9),
         "cycle": graphs.cycle(8),
+        # Every node of C_3 and C_4 is next to the wrap.
+        "cycle-3": graphs.cycle(3),
+        "cycle-4": graphs.cycle(4),
         "path": graphs.path(7),
         "wheel": graphs.wheel(9),
         "hypercube": graphs.hypercube(4),
@@ -64,6 +67,12 @@ class TestTableAgainstScalarInterface:
             u = topology.neighbor_at_port(v, port)
             assert int(receivers[i]) == u
             assert int(arrivals[i]) == topology.port_to(u, v)
+            # Alone, a row meets only its own sender's routing branch.
+            alone = table.route(senders[i : i + 1], ports[i : i + 1])
+            assert (int(alone[0][0]), int(alone[1][0])) == (u, arrivals[i])
+        routed_receivers, routed_arrivals = table.route(senders, ports)
+        assert routed_receivers.tolist() == receivers.tolist()
+        assert routed_arrivals.tolist() == arrivals.tolist()
 
     @pytest.mark.parametrize("family", sorted(ALL_FAMILIES))
     def test_degrees_match(self, family):

@@ -12,8 +12,36 @@ import pytest
 
 from repro.network.metrics import MetricsRecorder
 from repro.quantum.amplitude import grover_success_probability
-from repro.quantum.exact_grover import exact_star_grover
+from repro.quantum.exact_grover import _RoutedGrover, exact_star_grover
 from repro.util.rng import RandomSource
+
+
+def _assert_query_marginal_follows_law(monkeypatch, leaf_bits, iterations):
+    """Check the query register's exact distribution before measurement.
+
+    A spy on ``measure_query`` records the query register's marginal, then
+    measures as usual.  The state is deterministic until then, so one run
+    gives the whole distribution: the marked leaves must hold
+    sin²((2j+1)θ) between them, shared equally.
+    """
+    marginals = []
+    measure = _RoutedGrover.measure_query
+
+    def spy(machine, rng):
+        network = machine.network
+        marginals.append(network.state.marginal([network.local(0, "query")]))
+        return measure(machine, rng)
+
+    monkeypatch.setattr(_RoutedGrover, "measure_query", spy)
+    exact_star_grover(leaf_bits, iterations, RandomSource(0))
+    (marginal,) = marginals
+    marked = [port for port, bit in enumerate(leaf_bits) if bit]
+    theta = math.asin(math.sqrt(len(marked) / len(leaf_bits)))
+    law = math.sin((2 * iterations + 1) * theta) ** 2
+    assert abs(sum(marginal[port] for port in marked) - law) < 1e-9
+    for port in marked:
+        assert abs(marginal[port] - law / len(marked)) < 1e-9
+    return law
 
 
 class TestExactDynamics:
@@ -33,26 +61,18 @@ class TestExactDynamics:
         )
         assert abs(hits / 600 - 0.25) < 0.06
 
-    def test_overrotation_matches_law(self):
+    def test_overrotation_matches_law(self, monkeypatch):
         """j = 2 at ε = 1/4: sin²(5θ) = 1/4 — the exact unitary overrotates
         exactly as the closed form says."""
-        rng = RandomSource(2)
-        hits = sum(
-            exact_star_grover([1, 0, 0, 0], 2, rng.spawn()).measured_marked
-            for _ in range(600)
-        )
+        law = _assert_query_marginal_follows_law(monkeypatch, [1, 0, 0, 0], 2)
         expected = grover_success_probability(2, 0.25)
         assert expected == pytest.approx(0.25)
-        assert abs(hits / 600 - expected) < 0.06
+        assert law == pytest.approx(expected)
 
-    def test_half_marked_one_iteration(self):
+    def test_half_marked_one_iteration(self, monkeypatch):
         """ε = 1/2, j = 1: sin²(3·π/4) = 1/2."""
-        rng = RandomSource(3)
-        hits = sum(
-            exact_star_grover([1, 1, 0, 0], 1, rng.spawn()).measured_marked
-            for _ in range(600)
-        )
-        assert abs(hits / 600 - 0.5) < 0.06
+        law = _assert_query_marginal_follows_law(monkeypatch, [1, 1, 0, 0], 1)
+        assert law == pytest.approx(0.5)
 
     def test_all_marked_always_succeeds(self):
         rng = RandomSource(4)
@@ -99,8 +119,11 @@ class TestRoutedCosts:
 
 class TestValidation:
     def test_rejects_too_many_leaves(self):
-        with pytest.raises(ValueError):
-            exact_star_grover([0] * 7, 1, RandomSource(0))
+        # 5 leaves is past the dense state's cap: the leaf-count check
+        # must reject it before any state is allocated.
+        for leaves in (5, 7):
+            with pytest.raises(ValueError, match="supports 1..4 leaves"):
+                exact_star_grover([0] * leaves, 1, RandomSource(0))
 
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
