@@ -446,11 +446,7 @@ def classical_agreement_engine(
         topology, program, metrics, label="amp18-engine", adversary=armed
     )
     engine.run(max_rounds=schedule.final_round + 2)
-    decisions = (
-        program.decisions_dict()
-        if isinstance(program, BatchProtocol)
-        else {v: program[v].decision for v in range(n)}
-    )
+    decisions = engine.program.decisions_dict()
     meta = {
         "candidates": draw.count,
         "epsilon": schedule.epsilon,

@@ -108,12 +108,15 @@ class _KPPBatch(BatchProtocol):
     """Array-native three-round birthday protocol.
 
     Column state: ``is_candidate``, ``rank``, ``best_seen``, filled from
-    the candidate lottery.  Round 0 draws each candidate's referee ports
-    from the *same* per-candidate streams as the scalar :class:`_KPPNode`
-    (a short Python loop over the Θ(log n) candidates); rounds 1 and 2
-    are pure numpy — the referee replies of round 1 are literally the
-    inbox batch turned around (``senders = receivers``) with the
-    group-maximum rank gathered in.
+    the candidate lottery.  ``rank`` holds each candidate's dense rank
+    level (:meth:`~repro.core.candidates.CandidateDraw.rank_levels`):
+    ranks outgrow int64 from n = 55,109, levels compare the same, and 0
+    stays free for "no rank heard".  Round 0 draws each candidate's
+    referee ports from the *same* per-candidate streams as the scalar
+    :class:`_KPPNode` (a short Python loop over the Θ(log n) candidates);
+    rounds 1 and 2 are pure numpy — the referee replies of round 1 are
+    literally the inbox batch turned around (``senders = receivers``)
+    with the group-maximum level gathered in.
     """
 
     def __init__(
@@ -132,7 +135,7 @@ class _KPPBatch(BatchProtocol):
         self.best_seen = np.zeros(n, dtype=np.int64)
         candidates = np.asarray(draw.candidates, dtype=np.int64)
         self.is_candidate[candidates] = True
-        self.rank[candidates] = [draw.ranks[v] for v in draw.candidates]
+        self.rank[candidates] = draw.rank_levels()
         self.status_codes[~self.is_candidate] = STATUS_NON_ELECTED
 
     def step_batch(self, round_index, inbox):
@@ -199,8 +202,9 @@ def classical_le_complete(
 
     ``node_api`` selects the engine dispatch: ``"scalar"`` steps
     :class:`_KPPNode` instances, ``"batch"`` (or ``"auto"``) runs the
-    array-native :class:`_KPPBatch` program — bit-identical by
-    construction under the same seeds and adversary specs.
+    array-native :class:`_KPPBatch` program — identical messages, rounds
+    and statuses under the same seeds and adversary specs (its in-flight
+    values are rank levels rather than ranks).
     """
     if n < 2:
         raise ValueError(f"need n >= 2 nodes, got {n}")
@@ -229,18 +233,13 @@ def classical_le_complete(
         topology, program, metrics, label="kpp-le", adversary=armed
     )
     engine.run(max_rounds=4)
-    statuses = (
-        program.statuses()
-        if isinstance(program, BatchProtocol)
-        else {v: program[v].status for v in range(n)}
-    )
     # Candidates that never heard anything higher may tie only on rank
     # collisions (probability ≤ 1/n² — Fact C.2).
     meta = {"candidates": draw.count, "referees": referees}
     meta.update(engine.accounting_meta())
     return LeaderElectionResult(
         n=n,
-        statuses=statuses,
+        status_codes=engine.program.status_codes,
         metrics=metrics,
         meta=meta,
         crashed=engine.crashed_nodes,

@@ -88,8 +88,10 @@ class _CPRBatch(BatchProtocol):
     """Array-native three-round CPR protocol.
 
     Column state: ``is_candidate``, ``rank``, ``best_seen``, filled from
-    the candidate lottery, plus the per-node degree vector (one
-    :meth:`PortTable.degrees_of` gather, no per-node topology queries).
+    the candidate lottery (``rank`` holds dense rank levels, as in
+    :class:`~repro.classical.leader_election.complete_kpp._KPPBatch`),
+    plus the per-node degree vector (one :meth:`PortTable.degrees_of`
+    gather, no per-node topology queries).
     Round 0 broadcasts candidate ranks on every port; round 1 turns the
     inbox around (``senders = receivers``) with the group maximum
     gathered in; round 2 decides and halts.
@@ -104,7 +106,7 @@ class _CPRBatch(BatchProtocol):
         self.best_seen = np.zeros(n, dtype=np.int64)
         candidates = np.asarray(draw.candidates, dtype=np.int64)
         self.is_candidate[candidates] = True
-        self.rank[candidates] = [draw.ranks[v] for v in draw.candidates]
+        self.rank[candidates] = draw.rank_levels()
         self.status_codes[~self.is_candidate] = STATUS_NON_ELECTED
 
     def step_batch(self, round_index, inbox):
@@ -166,8 +168,9 @@ def classical_le_diameter2(
     :class:`~repro.adversary.AdversarySpec` applied at the engine level.
     ``node_api`` selects the engine dispatch: ``"scalar"`` steps
     :class:`_CPRNode` instances, ``"batch"`` (or ``"auto"``) runs the
-    array-native :class:`_CPRBatch` program — bit-identical by
-    construction under the same seeds and adversary specs.
+    array-native :class:`_CPRBatch` program — identical messages, rounds
+    and statuses under the same seeds and adversary specs (its in-flight
+    values are rank levels rather than ranks).
     """
     n = topology.n
     if n < 2:
@@ -195,16 +198,11 @@ def classical_le_diameter2(
     )
     engine.run(max_rounds=4)
 
-    statuses = (
-        program.statuses()
-        if isinstance(program, BatchProtocol)
-        else {v: program[v].status for v in range(n)}
-    )
     meta = {"candidates": draw.count}
     meta.update(engine.accounting_meta())
     return LeaderElectionResult(
         n=n,
-        statuses=statuses,
+        status_codes=engine.program.status_codes,
         metrics=metrics,
         meta=meta,
         crashed=engine.crashed_nodes,

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.leader_election.clusters import ClusterState, log_star, maximal_matching
 from repro.core.results import LeaderElectionResult
+from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
-from repro.network.node import Status
 from repro.network.topology import Topology
 from repro.util.rng import RandomSource
 
@@ -88,11 +90,11 @@ def classical_le_general(
             rounds=max(1, state.max_height()),
         )
 
-    statuses = {v: Status.NON_ELECTED for v in range(n)}
+    status = np.full(n, STATUS_NON_ELECTED, dtype=np.int8)
     known_leader = None
     if state.count == 1:
         final = next(iter(state.clusters.values()))
-        statuses[final.center] = Status.ELECTED
+        status[final.center] = STATUS_ELECTED
         metrics.charge(
             "ghs-le.leader-broadcast",
             messages=n - 1,
@@ -102,7 +104,7 @@ def classical_le_general(
 
     return LeaderElectionResult(
         n=n,
-        statuses=statuses,
+        status_codes=status,
         metrics=metrics,
         known_leader=known_leader,
         meta={"phases": phases, "m": m, "clusters_remaining": state.count},

@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.core.candidates import draw_candidates
 from repro.core.results import LeaderElectionResult
+from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
-from repro.network.node import Status
 from repro.network.random_walk import RandomWalk, estimate_mixing_time
 from repro.network.topology import Topology
 from repro.util.fault import FaultInjector
@@ -54,14 +54,14 @@ def classical_le_mixing(
         walks = default_walks_mixing(n)
 
     metrics = MetricsRecorder()
-    statuses = {v: Status.NON_ELECTED for v in range(n)}
+    status = np.full(n, STATUS_NON_ELECTED, dtype=np.int8)
     walk = RandomWalk(topology)
 
     draw = draw_candidates(n, rng, faults=faults)
     metrics.advance_rounds("rw-le.candidate-selection", 1)
     if not draw.candidates:
         return LeaderElectionResult(
-            n=n, statuses=statuses, metrics=metrics,
+            n=n, status_codes=status, metrics=metrics,
             meta={"candidates": 0, "tau": tau, "walks": walks},
         )
 
@@ -83,8 +83,7 @@ def classical_le_mixing(
     # answer travels back along the walk (another τ messages).
     saw_higher = held[walk.endpoints(starts, tau, walk_rng)] > levels
     elected = ~saw_higher.reshape(draw.count, walks).any(axis=1)
-    for v, won in zip(draw.candidates, elected.tolist()):
-        statuses[v] = Status.ELECTED if won else Status.NON_ELECTED
+    status[np.asarray(draw.candidates)[elected]] = STATUS_ELECTED
     metrics.charge(
         "rw-le.query-walks",
         messages=len(draw.candidates) * walks * 2 * tau,
@@ -93,7 +92,7 @@ def classical_le_mixing(
 
     return LeaderElectionResult(
         n=n,
-        statuses=statuses,
+        status_codes=status,
         metrics=metrics,
         meta={
             "candidates": draw.count,

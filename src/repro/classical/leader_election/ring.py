@@ -23,6 +23,7 @@ from repro.core.results import LeaderElectionResult
 from repro.network.batch import (
     STATUS_ELECTED,
     STATUS_NON_ELECTED,
+    STATUS_UNDECIDED,
     BatchProtocol,
     MessageBatch,
     wants_batch_dispatch,
@@ -231,18 +232,13 @@ def lcr_ring(
         topology, program, metrics, label="lcr", adversary=armed
     )
     engine.run(max_rounds=3 * n + 4)
-    statuses = (
-        program.statuses()
-        if isinstance(program, BatchProtocol)
-        else {v: program[v].status for v in range(n)}
-    )
-    for v in range(n):  # anyone still undecided (duplicate-id pathology)
-        if statuses[v] is Status.UNDECIDED:
-            statuses[v] = Status.NON_ELECTED
+    status = engine.program.status_codes
+    # Anyone still undecided (duplicate-id pathology) ends non-elected.
+    status[status == STATUS_UNDECIDED] = STATUS_NON_ELECTED
     meta = {"unique_ids": len(np.unique(ids)) == n}
     meta.update(engine.accounting_meta())
     return LeaderElectionResult(
-        n=n, statuses=statuses, metrics=metrics, meta=meta,
+        n=n, status_codes=status, metrics=metrics, meta=meta,
         crashed=engine.crashed_nodes,
     )
 
@@ -574,17 +570,11 @@ def hirschberg_sinclair_ring(
         topology, program, metrics, label="hs", adversary=armed
     )
     engine.run(max_rounds=12 * n + 16)
-    statuses = (
-        program.statuses()
-        if isinstance(program, BatchProtocol)
-        else {v: program[v].status for v in range(n)}
-    )
-    for v in range(n):
-        if statuses[v] is Status.UNDECIDED:
-            statuses[v] = Status.NON_ELECTED
+    status = engine.program.status_codes
+    status[status == STATUS_UNDECIDED] = STATUS_NON_ELECTED
     meta = {"unique_ids": len(np.unique(ids)) == n}
     meta.update(engine.accounting_meta())
     return LeaderElectionResult(
-        n=n, statuses=statuses, metrics=metrics, meta=meta,
+        n=n, status_codes=status, metrics=metrics, meta=meta,
         crashed=engine.crashed_nodes,
     )

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.candidates import draw_candidates
 from repro.core.grover import distributed_grover_search
 from repro.core.parallel import run_in_parallel
 from repro.core.procedures import CountOracle, uniform_charge
 from repro.core.results import LeaderElectionResult
+from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
-from repro.network.node import Status
 from repro.util.fault import FaultInjector
 from repro.util.rng import RandomSource
 
@@ -65,7 +67,7 @@ def quantum_le_complete(
         alpha = 1.0 / n**2
 
     metrics = MetricsRecorder()
-    statuses = {v: Status.NON_ELECTED for v in range(n)}
+    status = np.full(n, STATUS_NON_ELECTED, dtype=np.int8)
 
     # -- classical phase: candidates and ranks (one local round) ---------------
     draw = draw_candidates(n, rng, faults=faults)
@@ -75,7 +77,8 @@ def quantum_le_complete(
         # The 1/n²-probability sampling failure: nobody volunteers, nobody is
         # elected.  The paper accepts this within its error budget.
         return LeaderElectionResult(
-            n=n, statuses=statuses, metrics=metrics, meta={"candidates": 0, "k": k}
+            n=n, status_codes=status, metrics=metrics,
+            meta={"candidates": 0, "k": k},
         )
 
     # -- classical phase: referees ----------------------------------------------
@@ -126,11 +129,12 @@ def quantum_le_complete(
 
     # -- decision -----------------------------------------------------------------
     for v, search in zip(draw.candidates, searches):
-        statuses[v] = Status.NON_ELECTED if search.succeeded else Status.ELECTED
+        if not search.succeeded:
+            status[v] = STATUS_ELECTED
 
     return LeaderElectionResult(
         n=n,
-        statuses=statuses,
+        status_codes=status,
         metrics=metrics,
         meta={
             "candidates": draw.count,

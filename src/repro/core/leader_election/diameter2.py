@@ -36,11 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.candidates import draw_candidates
 from repro.core.results import LeaderElectionResult
 from repro.core.walk_search import WalkSearchResult, WalkSearchSpec, walk_search
+from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
-from repro.network.node import Status
 from repro.network.topology import Topology
 from repro.quantum.amplitude import attempts_for_confidence, worst_case_iterations
 from repro.quantum.johnson import JohnsonGraph
@@ -131,13 +133,13 @@ def quantum_qwle(
     p = (params or QWLEParameters()).resolve(n)
 
     metrics = MetricsRecorder()
-    statuses = {v: Status.NON_ELECTED for v in range(n)}
+    status = np.full(n, STATUS_NON_ELECTED, dtype=np.int8)
 
     draw = draw_candidates(n, rng, faults=faults)
     metrics.advance_rounds("qwle.candidate-selection", 1)
     if not draw.candidates:
         return LeaderElectionResult(
-            n=n, statuses=statuses, metrics=metrics, meta={"candidates": 0}
+            n=n, status_codes=status, metrics=metrics, meta={"candidates": 0}
         )
 
     ranks = draw.ranks
@@ -264,11 +266,11 @@ def quantum_qwle(
 
     # Ending: every remaining candidate enters ELECTED.
     for v in alive:
-        statuses[v] = Status.ELECTED
+        status[v] = STATUS_ELECTED
 
     return LeaderElectionResult(
         n=n,
-        statuses=statuses,
+        status_codes=status,
         metrics=metrics,
         meta={
             "candidates": draw.count,

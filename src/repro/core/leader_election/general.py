@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.grover import distributed_grover_search
 from repro.core.leader_election.clusters import ClusterState, log_star, maximal_matching
 from repro.core.parallel import run_in_parallel
 from repro.core.procedures import CountOracle, uniform_charge
 from repro.core.results import LeaderElectionResult
+from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
-from repro.network.node import Status
 from repro.network.topology import Topology
 from repro.util.fault import FaultInjector
 from repro.util.rng import RandomSource
@@ -160,12 +162,12 @@ def quantum_general_le(
             rounds=max(1, state.max_height()),
         )
 
-    statuses = {v: Status.NON_ELECTED for v in range(n)}
+    status = np.full(n, STATUS_NON_ELECTED, dtype=np.int8)
     known_leader: dict[int, int] | None = None
     if state.count == 1:
         final = next(iter(state.clusters.values()))
         leader = final.center
-        statuses[leader] = Status.ELECTED
+        status[leader] = STATUS_ELECTED
         # Explicit variant: the leader broadcasts its id over the tree.
         metrics.charge(
             "general-le.leader-broadcast",
@@ -176,7 +178,7 @@ def quantum_general_le(
 
     return LeaderElectionResult(
         n=n,
-        statuses=statuses,
+        status_codes=status,
         metrics=metrics,
         known_leader=known_leader,
         meta={

@@ -36,8 +36,8 @@ from repro.core.parallel import run_in_parallel
 from repro.core.procedures import CountOracle, uniform_charge
 from repro.core.results import LeaderElectionResult
 from repro.network.message import messages_for_bits
+from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
-from repro.network.node import Status
 from repro.network.random_walk import RandomWalk, estimate_mixing_time
 from repro.network.topology import Topology
 from repro.util.fault import FaultInjector
@@ -103,7 +103,7 @@ def quantum_rwle(
         alpha = 1.0 / n**2
 
     metrics = MetricsRecorder()
-    statuses = {v: Status.NON_ELECTED for v in range(n)}
+    status = np.full(n, STATUS_NON_ELECTED, dtype=np.int8)
     walk = RandomWalk(topology)
     walk_length = tau  # Θ(τ); the lazy walk needs no parity padding
 
@@ -112,7 +112,7 @@ def quantum_rwle(
     metrics.advance_rounds("quantum-rwle.candidate-selection", 1)
     if not draw.candidates:
         return LeaderElectionResult(
-            n=n, statuses=statuses, metrics=metrics,
+            n=n, status_codes=status, metrics=metrics,
             meta={"candidates": 0, "k": k, "tau": tau},
         )
 
@@ -185,11 +185,12 @@ def quantum_rwle(
     )
 
     for v, search in zip(draw.candidates, searches):
-        statuses[v] = Status.NON_ELECTED if search.succeeded else Status.ELECTED
+        if not search.succeeded:
+            status[v] = STATUS_ELECTED
 
     return LeaderElectionResult(
         n=n,
-        statuses=statuses,
+        status_codes=status,
         metrics=metrics,
         meta={
             "candidates": draw.count,

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
+import numpy as np
+
+from repro.network.batch import (
+    STATUS_CODES,
+    STATUS_ELECTED,
+    STATUS_NON_ELECTED,
+)
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Status
 
@@ -19,6 +28,11 @@ class LeaderElectionResult:
     leader's identity; ``explicit`` runs additionally populate
     ``known_leader``).
 
+    ``status_codes`` holds every node's final status as one int8 column of
+    the ``STATUS_*`` codes of :mod:`repro.network.batch`, so the
+    correctness reductions are array reductions rather than O(n) Python
+    passes; :attr:`statuses` is the per-node enum view of it.
+
     Under an adversary, ``crashed`` lists the crash-stopped nodes; as is
     standard for crash-stop faults, the correctness condition then applies
     to the *surviving* nodes only (a crashed candidate frozen at ⊥ does
@@ -26,19 +40,40 @@ class LeaderElectionResult:
     """
 
     n: int
-    statuses: dict[int, Status]
+    status_codes: np.ndarray
     metrics: MetricsRecorder
     meta: dict = field(default_factory=dict)
     known_leader: dict[int, int] | None = None
     crashed: frozenset[int] = frozenset()
 
+    def __post_init__(self) -> None:
+        self.status_codes = np.asarray(self.status_codes, dtype=np.int8)
+        if self.status_codes.shape != (self.n,):
+            raise ValueError(
+                f"status_codes must have shape ({self.n},), "
+                f"got {self.status_codes.shape}"
+            )
+
+    @property
+    def statuses(self) -> Mapping[int, Status]:
+        """Read-only ``node → Status`` view of ``status_codes``, built per read."""
+        return MappingProxyType(
+            {
+                v: STATUS_CODES[code]
+                for v, code in enumerate(self.status_codes.tolist())
+            }
+        )
+
+    def _surviving(self, mask: np.ndarray) -> np.ndarray:
+        """``mask`` (a fresh per-node array) with the crashed nodes cleared."""
+        if self.crashed:
+            mask[list(self.crashed)] = False
+        return mask
+
     @property
     def elected(self) -> list[int]:
-        return [
-            v
-            for v, s in self.statuses.items()
-            if s is Status.ELECTED and v not in self.crashed
-        ]
+        winners = self._surviving(self.status_codes == STATUS_ELECTED)
+        return np.flatnonzero(winners).tolist()
 
     @property
     def leader(self) -> int | None:
@@ -47,13 +82,13 @@ class LeaderElectionResult:
 
     @property
     def success(self) -> bool:
-        if len(self.elected) != 1:
+        codes = self.status_codes
+        if np.count_nonzero(self._surviving(codes == STATUS_ELECTED)) != 1:
             return False
-        return all(
-            s in (Status.ELECTED, Status.NON_ELECTED)
-            for v, s in self.statuses.items()
-            if v not in self.crashed
+        non_elected = int(
+            np.count_nonzero(self._surviving(codes == STATUS_NON_ELECTED))
         )
+        return non_elected == self.n - len(self.crashed) - 1
 
     @property
     def explicit_success(self) -> bool:
@@ -61,7 +96,7 @@ class LeaderElectionResult:
         if not self.success or self.known_leader is None:
             return False
         leader = self.leader
-        return all(self.known_leader.get(v) == leader for v in self.statuses)
+        return all(self.known_leader.get(v) == leader for v in range(self.n))
 
     @property
     def messages(self) -> int:

@@ -264,12 +264,10 @@ class BatchProtocol(ABC):
 
     # -- result helpers --------------------------------------------------------
 
-    def statuses(self) -> dict[int, Status]:
-        """``status_codes`` as the scalar result convention's enum dict."""
-        return {
-            v: STATUS_CODES[int(code)]
-            for v, code in enumerate(self.status_codes)
-        }
+    def sync_columns(self) -> None:
+        """Bring ``status_codes`` and ``decisions`` up to date; the engine
+        calls this once at the end of every run.  An array-native
+        program's columns *are* its state, so this is a no-op here."""
 
     def decisions_dict(self) -> dict[int, int | None]:
         """``decisions`` as the agreement result convention (None for ⊥)."""
@@ -354,16 +352,17 @@ class ScalarAdapter(BatchProtocol):
             payloads=list(chain.from_iterable(message_chunks)),
         )
 
-    # The SoA result views are mirrored lazily from the wrapped nodes —
-    # they are only read after the run, so the engine hot loop never pays
-    # for the per-node sync.
-
-    def statuses(self) -> dict[int, Status]:
-        return {v: node.status for v, node in enumerate(self.nodes)}
-
-    def decisions_dict(self) -> dict[int, int | None]:
-        for v, node in enumerate(self.nodes):
-            self.status_codes[v] = _STATUS_TO_CODE[node.status]
-            decision = getattr(node, "decision", None)
-            self.decisions[v] = -1 if decision is None else int(decision)
-        return super().decisions_dict()
+    def sync_columns(self) -> None:
+        # Mirrored from the wrapped nodes once per run, so the engine hot
+        # loop never pays for a per-node sync.
+        nodes = self.nodes
+        self.status_codes[:] = np.fromiter(
+            (_STATUS_TO_CODE[node.status] for node in nodes),
+            dtype=np.int8,
+            count=len(nodes),
+        )
+        self.decisions[:] = np.fromiter(
+            (-1 if node.decision is None else node.decision for node in nodes),
+            dtype=np.int64,
+            count=len(nodes),
+        )

@@ -205,6 +205,7 @@ class SynchronousEngine:
             rounds = self._run_batch(max_rounds)
         else:
             rounds = self._run_reference(max_rounds)
+        self.program.sync_columns()
         # One ledger entry per run, not per round: a long sparse run (an HS
         # ring runs ~4n rounds) would otherwise append one object per round.
         if rounds > rounds_before:

@@ -34,6 +34,7 @@ import numpy as np
 __all__ = [
     "KERNEL_CHOICES",
     "KernelSet",
+    "RADIX_MIN_ROWS",
     "default_kernel",
     "get_kernels",
     "numba_available",
@@ -44,6 +45,10 @@ __all__ = [
 KERNEL_CHOICES = ("auto", "numba", "numpy")
 
 _NUMBA_AVAILABLE: bool | None = None
+
+#: Fewest rows a round needs before :meth:`KernelSet.stable_receiver_order`
+#: sorts 16-bit receiver keys (see there for the measurement).
+RADIX_MIN_ROWS = 512
 
 
 def numba_available() -> bool:
@@ -107,10 +112,24 @@ class KernelSet:
     def stable_receiver_order(self, receivers, n_groups):
         """Permutation sorting rows by receiver, ties in original order.
 
-        ``n_groups`` bounds the receiver values (they are node ids < n);
-        the numba tier uses it for an O(n + k) counting sort that yields
-        the exact same permutation as numpy's stable argsort.
+        ``n_groups`` bounds the receiver values (they are node ids < n).
+        When they fit 16 bits (``n_groups ≤ 2¹⁶``) and the round has at
+        least :data:`RADIX_MIN_ROWS` rows, the sort runs on a uint16 copy:
+        numpy's stable sort of 16-bit keys is a radix sort, and stability
+        makes its permutation identical to the comparison sort's.  On a
+        2-core x86_64 host (numpy 2.4), random receivers over 32,768
+        groups sort in 0.22 → 0.037 s at 1.4M rows and 13 → 9 µs at 512
+        rows, while at 64 rows or fewer the cast costs more than the
+        radix saves (+0.3–1.5 µs per call).  Receivers already close to
+        sorted (a ring's neighbour pattern) favour the comparison sort's
+        run detection by 1.2–2× at 4k–64k rows, but an HS ring trial has
+        few rounds that large, and C_1024/C_2048 HS sweeps time the same
+        either way.  Sparse rounds and larger networks keep the
+        comparison sort.  The numba tier uses ``n_groups`` for an
+        O(n + k) counting sort that yields the same permutation.
         """
+        if n_groups <= 1 << 16 and len(receivers) >= RADIX_MIN_ROWS:
+            receivers = receivers.astype(np.uint16)
         return np.argsort(receivers, kind="stable")
 
     # -- protocol scatter folds --------------------------------------------
@@ -187,9 +206,9 @@ class _NumbaKernelSet(KernelSet):
 
     def stable_receiver_order(self, receivers, n_groups):
         # A counting sort is O(n_groups + k); for sparse rounds (k ≪ n)
-        # the argsort is cheaper.  Both yield the identical permutation.
+        # the numpy sort is cheaper.  All yield the identical permutation.
         if len(receivers) * 16 < n_groups:
-            return np.argsort(receivers, kind="stable")
+            return super().stable_receiver_order(receivers, n_groups)
         return self._counting_order(receivers, n_groups)
 
     def scatter_max(self, target, idx, values) -> None:

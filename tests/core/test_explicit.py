@@ -1,20 +1,20 @@
 """Tests for the explicit-election upgrade."""
 
+import numpy as np
 import pytest
 
 from repro.core.leader_election.explicit import make_explicit
 from repro.core.results import LeaderElectionResult
 from repro.network import graphs
+from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
-from repro.network.node import Status
 from repro.util.rng import RandomSource
 
 
 def _implicit_result(n, leader):
-    statuses = {
-        v: Status.ELECTED if v == leader else Status.NON_ELECTED for v in range(n)
-    }
-    return LeaderElectionResult(n=n, statuses=statuses, metrics=MetricsRecorder())
+    status = np.full(n, STATUS_NON_ELECTED, dtype=np.int8)
+    status[leader] = STATUS_ELECTED
+    return LeaderElectionResult(n=n, status_codes=status, metrics=MetricsRecorder())
 
 
 class TestMakeExplicit:
@@ -33,8 +33,8 @@ class TestMakeExplicit:
         assert result.rounds == 7  # path eccentricity from node 0
 
     def test_failed_election_left_untouched(self):
-        statuses = {v: Status.NON_ELECTED for v in range(4)}
-        result = LeaderElectionResult(4, statuses, MetricsRecorder())
+        status = np.full(4, STATUS_NON_ELECTED, dtype=np.int8)
+        result = LeaderElectionResult(4, status, MetricsRecorder())
         make_explicit(result)
         assert result.known_leader is None
         assert result.messages == 0

@@ -91,7 +91,8 @@ class TestBatchProtocolBase:
         assert program.alive_count() == 3
         assert program.halted_mask().tolist() == [False, False, True, False]
         program.status_codes[1] = STATUS_ELECTED
-        assert program.statuses()[1] is Status.ELECTED
+        program.sync_columns()  # array-native: the columns are the state
+        assert program.status_codes[1] == STATUS_ELECTED
         program.decisions[0] = 1
         assert program.decisions_dict() == {0: 1, 1: None, 2: None, 3: None}
 
@@ -130,7 +131,7 @@ class TestScalarAdapter:
         adapter = ScalarAdapter(nodes)
         engine = SynchronousEngine(graphs.cycle(3), adapter, MetricsRecorder())
         engine.run(max_rounds=2)
-        assert adapter.statuses() == {v: Status.ELECTED for v in range(3)}
+        assert adapter.status_codes.tolist() == [STATUS_ELECTED] * 3
         assert adapter.decisions_dict() == {0: 1, 1: 1, 2: 1}
 
     def test_pre_halted_nodes_never_step(self):

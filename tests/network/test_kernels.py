@@ -24,6 +24,7 @@ from repro.network import graphs
 from repro.network.batch import MessageBatch
 from repro.network.kernels import (
     KERNEL_CHOICES,
+    RADIX_MIN_ROWS,
     KernelSet,
     default_kernel,
     get_kernels,
@@ -137,11 +138,22 @@ class TestKernelCorrectness:
 
     def test_stable_receiver_order(self, kernels):
         rng = np.random.default_rng(11)
-        for count, size in [(0, 5), (7, 3), (200, 16), (64, 4096)]:
+        cut, wide = RADIX_MIN_ROWS, 1 << 16
+        cases = [(0, 5), (7, 3), (200, 16), (64, 4096)]
+        # Both sides of the 16-bit key cut-over's row and group bounds.
+        cases += [
+            (rows, size)
+            for rows in (cut - 1, cut, 4 * cut)
+            for size in (300, wide, wide + 1)
+        ]
+        for count, size in cases:
             receivers = rng.integers(0, size, size=count)
-            order = kernels.stable_receiver_order(receivers, size)
-            expected = np.argsort(receivers, kind="stable")
-            assert np.array_equal(order, expected)
+            if count:
+                receivers[count // 2] = size - 1  # the largest id must not wrap
+            for rows in (receivers, np.sort(receivers)):
+                order = kernels.stable_receiver_order(rows, size)
+                expected = np.argsort(rows, kind="stable")
+                assert np.array_equal(order, expected), (count, size)
 
     def test_scatter_max_min(self, kernels):
         rng = np.random.default_rng(13)

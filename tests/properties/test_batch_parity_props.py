@@ -15,6 +15,7 @@ Two layers of parity, each with and without an adversary (drop + crash):
 
 import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,6 +196,27 @@ def test_kpp_batch_parity(seed, n, adversary):
     fast, reference, batch = _three_way(run, _le_snapshot)
     assert fast == reference
     assert fast == batch
+
+
+#: From n = 55,109 the rank universe {1, …, n⁴} outgrows int64.
+PAST_INT64_RANKS = 1 << 16
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda api: classical_le_complete(
+            PAST_INT64_RANKS, RandomSource(1), node_api=api
+        ),
+        lambda api: classical_le_diameter2(
+            graphs.star(PAST_INT64_RANKS), RandomSource(1), node_api=api
+        ),
+    ],
+    ids=["kpp-complete", "cpr-star"],
+)
+def test_batch_parity_past_int64_ranks(run):
+    """The ports carry rank levels, so they run where ranks overflow."""
+    assert _le_snapshot(run("batch")) == _le_snapshot(run("scalar"))
 
 
 @settings(max_examples=25, deadline=None)
