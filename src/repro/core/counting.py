@@ -7,20 +7,25 @@ procedure; the outcome law is sampled exactly (see
 
     |t_f − t̃_f| < (2π/P)·√(t_f·|X|) + (π²/P²)·|X|  w.p. ≥ 8/π²  (P ≥ 4, t ≤ |X|/2)
 
-holds by construction.  ``ApproxCount(c, α)`` instantiates P = ⌈8π/c⌉ on the
+holds by construction.  ``ApproxCount(c, α)`` instantiates P = ⌈4π/c⌉ on the
 *doubled* domain (the proof's trick to lift the t ≤ |X|/2 hypothesis) and
-boosts to confidence 1 − α by taking the median of O(log 1/α) runs.
+boosts to confidence 1 − α by taking the median of O(log 1/α) runs, all
+sampled as one column.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass
 
 from repro.core.procedures import SearchOracle
 from repro.network.metrics import MetricsRecorder
-from repro.quantum.phase_estimation import sample_counting_estimate
+from repro.quantum.phase_estimation import (
+    sample_counting_estimate,
+    sample_counting_estimates,
+)
 from repro.util.rng import RandomSource
 
 __all__ = ["ApproxCountResult", "CountResult", "approx_count", "quantum_count"]
@@ -61,8 +66,8 @@ def quantum_count(
 ) -> CountResult:
     """Count(P): one phase-estimation run with P = ``steps`` Grover iterates.
 
-    ``domain_size``/``true_count`` override the oracle's values — used by
-    :func:`approx_count` for the doubled-domain construction.
+    ``domain_size``/``true_count`` override the oracle's values, as in
+    :func:`approx_count`'s doubled-domain construction.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -76,6 +81,7 @@ def quantum_count(
     return CountResult(estimate=estimate, steps=steps, checking_calls=checking_calls)
 
 
+@functools.lru_cache(maxsize=256)
 def runs_for_confidence(alpha: float) -> int:
     """Median-boosting run count, via the exact binomial tail.
 
@@ -120,24 +126,17 @@ def approx_count(
     steps = max(4, math.ceil(4.0 * math.pi / accuracy))
     runs = runs_for_confidence(alpha)
 
-    doubled_domain = 2 * oracle.domain_size
-    estimates = []
-    total_checking = 0
+    # Every run bills its own coherent Checking calls, as Count(P) does.
+    checking_calls = steps * CHECKS_PER_STEP
     for _ in range(runs):
-        result = quantum_count(
-            oracle,
-            steps,
-            metrics,
-            rng,
-            domain_size=doubled_domain,
-            true_count=oracle.marked_count(),
-        )
-        estimates.append(result.estimate)
-        total_checking += result.checking_calls
+        oracle.charge_checking(metrics, checking_calls)
+    estimates = sample_counting_estimates(
+        oracle.marked_count(), 2 * oracle.domain_size, steps, rng, runs
+    )
 
     return ApproxCountResult(
         estimate=float(statistics.median(estimates)),
         runs=runs,
         steps_per_run=steps,
-        checking_calls=total_checking,
+        checking_calls=runs * checking_calls,
     )

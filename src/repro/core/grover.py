@@ -93,23 +93,27 @@ def distributed_grover_search(
     iterations_run = 0
 
     found = None
-    for _ in range(attempts):
+    attempts_run = 0
+    while found is None and attempts_run < attempts:
+        attempts_run += 1
         iterations = rng.uniform_int(0, iteration_cap - 1)
-        if found is None:
-            # u initiates this attempt: j iterations of S_f (two coherent
-            # Checking calls each) plus one classical verification.
-            calls = iterations * CHECKS_PER_ITERATION + 1
-            oracle.charge_checking(metrics, calls)
-            charged_calls += calls
-            iterations_run += iterations
-            outcome = sample_attempt(
-                marked_fraction, iterations, rng, faults=faults, fault_site=fault_site
-            )
-            if outcome.measured_marked and oracle.marked_count() > 0:
-                found = oracle.sample_marked(rng)
-        # After a verified success u goes silent; the network's remaining
-        # schedule is the identity transformation (no messages), but the
-        # synchronized rounds still elapse.
+        # u initiates this attempt: j iterations of S_f (two coherent
+        # Checking calls each) plus one classical verification.
+        calls = iterations * CHECKS_PER_ITERATION + 1
+        oracle.charge_checking(metrics, calls)
+        charged_calls += calls
+        iterations_run += iterations
+        outcome = sample_attempt(
+            marked_fraction, iterations, rng, faults=faults, fault_site=fault_site
+        )
+        if outcome.measured_marked and oracle.marked_count() > 0:
+            found = oracle.sample_marked(rng)
+    # After a verified success u goes silent; the network's remaining
+    # schedule is the identity transformation (no messages), but the
+    # synchronized rounds still elapse.  The idle attempts still draw their
+    # iteration counts, as one column, so the stream ends where the full
+    # schedule leaves it.
+    rng.uniform_ints(0, iteration_cap - 1, attempts - attempts_run)
 
     skipped_calls = schedule_calls - charged_calls
     if skipped_calls > 0 and rounds_per_call > 0:

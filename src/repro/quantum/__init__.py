@@ -17,6 +17,7 @@ from repro.quantum.phase_estimation import (
     eigenphase_turns,
     qpe_distribution,
     sample_counting_estimate,
+    sample_counting_estimates,
 )
 from repro.quantum.routing import VACUUM, QuantumRoutingNetwork
 from repro.quantum.statevector import DenseState
@@ -44,6 +45,7 @@ __all__ = [
     "qpe_distribution",
     "sample_attempt",
     "sample_counting_estimate",
+    "sample_counting_estimates",
     "sample_walk_attempt",
     "walk_attempt_success_probability",
     "worst_case_iterations",

@@ -14,10 +14,17 @@ The count estimate is t̃ = N·sin²(πy/P), and the error bound of Theorem 4.2,
 
 follows from this distribution — we sample from the true law, so the bound
 holds here for the same reason it holds on a quantum computer.
+
+Runs are sampled as a column: one ``generator.random`` call supplies every
+run's eigenvector coin and outcome, and each outcome is read off a CDF
+built once per (t, N, P, eigenvector) — the same CDF and the same
+``searchsorted`` that ``Generator.choice(P, p=law)`` would apply to that
+draw, so a column of r runs equals r one-run draws bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,7 +37,11 @@ __all__ = [
     "eigenphase_turns",
     "qpe_distribution",
     "sample_counting_estimate",
+    "sample_counting_estimates",
 ]
+
+#: ``Generator.choice``'s tolerance on the total mass of a law: √eps.
+_MASS_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
 
 
 def eigenphase_turns(t: int, N: int) -> float:
@@ -72,24 +83,76 @@ def counting_estimate_from_outcome(y: int, N: int, P: int) -> float:
     return N * math.sin(math.pi * y / P) ** 2
 
 
+@functools.lru_cache(maxsize=8)
+def _outcome_cdf(t: int, N: int, P: int, conjugate: bool) -> np.ndarray:
+    """Read-only CDF of the P-point outcome for one eigenvector of the
+    count-t iterate.
+
+    ``Generator.choice(P, p=law)`` maps a uniform draw u to
+    ``cdf.searchsorted(u, side="right")`` through this same CDF, after the
+    same checks: the law must be finite and non-negative, with total mass
+    within √eps of 1.  Every run of an ApproxCount call, and every
+    candidate of a QuantumAgreement trial, shares one (t, N, P), so a few
+    entries suffice; each holds P floats.
+    """
+    omega = eigenphase_turns(t, N)
+    if conjugate:
+        omega = 1.0 - omega  # the e^{-2iθ} eigenvector
+    law = qpe_distribution(omega, P)
+    if not np.isfinite(law).all():
+        raise ValueError("outcome probabilities must be finite")
+    if (law < 0).any():
+        raise ValueError("outcome probabilities must be non-negative")
+    if abs(law.sum() - 1.0) > _MASS_TOLERANCE:
+        raise ValueError(f"outcome probabilities sum to {law.sum()!r}, not 1")
+    cdf = law.cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False  # every caller shares the cached array
+    return cdf
+
+
+def sample_counting_estimates(
+    t: int,
+    N: int,
+    P: int,
+    rng: RandomSource,
+    runs: int,
+) -> np.ndarray:
+    """Sample ``runs`` independent quantum-counting estimates t̃, as a column.
+
+    Each run's starting state splits half/half over the two conjugate
+    eigenvectors (for 0 < t < N); the degenerate endpoints t = 0 and t = N
+    have a single eigenphase.  One ``generator.random`` call draws
+    2·``runs`` values when 0 < t < N (run i's eigenvector coin, then its
+    outcome) and ``runs`` values otherwise — the stream ``runs`` one-run
+    draws would consume.
+    """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    cdf = _outcome_cdf(t, N, P, False)
+    if 0 < t < N:
+        draws = rng.generator.random(2 * runs)
+        conjugate, uniforms = draws[0::2] < 0.5, draws[1::2]
+        outcomes = cdf.searchsorted(uniforms, side="right")
+        if conjugate.any():
+            outcomes[conjugate] = _outcome_cdf(t, N, P, True).searchsorted(
+                uniforms[conjugate], side="right"
+            )
+    else:
+        outcomes = cdf.searchsorted(rng.generator.random(runs), side="right")
+    return np.array(
+        [counting_estimate_from_outcome(y, N, P) for y in outcomes.tolist()]
+    )
+
+
 def sample_counting_estimate(
     t: int,
     N: int,
     P: int,
     rng: RandomSource,
 ) -> float:
-    """Sample one quantum-counting estimate t̃ of the true count t among N.
-
-    The starting state splits half/half over the two conjugate eigenvectors
-    (for 0 < t < N); the degenerate endpoints t = 0 and t = N have a single
-    eigenphase.
-    """
-    omega = eigenphase_turns(t, N)
-    if 0 < t < N and rng.bernoulli(0.5):
-        omega = 1.0 - omega  # the e^{-2iθ} eigenvector
-    distribution = qpe_distribution(omega, P)
-    y = int(rng.generator.choice(P, p=distribution))
-    return counting_estimate_from_outcome(y, N, P)
+    """Sample one quantum-counting estimate t̃ of the true count t among N."""
+    return float(sample_counting_estimates(t, N, P, rng, 1)[0])
 
 
 def counting_error_bound(t: int, N: int, P: int) -> float:

@@ -321,10 +321,6 @@ def run_scenario(
                 from_cache=0,
             )
         return run
-    root = RandomSource(scenario.seed)
-    grid_rngs = [
-        [root.spawn() for _ in range(scenario.trials)] for _ in scenario.sizes
-    ]
     cached: dict[int, TrialSet] = {}  # grid position → cached trial set
     if store is not None:
         for position, n in enumerate(scenario.sizes):
@@ -332,11 +328,19 @@ def run_scenario(
             if hit is not None:
                 cached[position] = hit
     pending = [p for p in range(len(scenario.sizes)) if p not in cached]
-    tasks = [
-        (scenario, scenario.sizes[p], rng, p, trial)
-        for p in pending
-        for trial, rng in enumerate(grid_rngs[p])
-    ]
+    tasks = []
+    if pending:
+        # Per-trial seeds are spawned for the whole grid, in grid order,
+        # so a pending position gets the same stream whatever is cached.
+        root = RandomSource(scenario.seed)
+        grid_rngs = [
+            [root.spawn() for _ in range(scenario.trials)] for _ in scenario.sizes
+        ]
+        tasks = [
+            (scenario, scenario.sizes[p], rng, p, trial)
+            for p in pending
+            for trial, rng in enumerate(grid_rngs[p])
+        ]
     results = fan_out(_scenario_trial_telemetry, tasks, jobs)
     # With a real pool, every trial ran in a forked worker whose registry
     # and profiler die with it — fold the returned deltas in here.  In

@@ -1,13 +1,19 @@
 """Tests for distributed quantum counting (Theorem 4.2 / Corollary 4.3)."""
 
 import math
+import statistics
 
 import pytest
 
 from repro.core.counting import approx_count, quantum_count, runs_for_confidence
 from repro.core.procedures import SetOracle, uniform_charge
 from repro.network.metrics import MetricsRecorder
-from repro.quantum.phase_estimation import counting_error_bound
+from repro.quantum.phase_estimation import (
+    counting_error_bound,
+    counting_estimate_from_outcome,
+    eigenphase_turns,
+    qpe_distribution,
+)
 from repro.util.rng import RandomSource
 
 
@@ -126,3 +132,44 @@ class TestApproxCount:
             math.log(2 / 0.2) / (2 * accuracy**2)
         )  # Hoeffding samples × 2 messages
         assert quantum_cost < classical_cost
+
+
+def _per_run_approx_count(oracle, accuracy, alpha, metrics, rng):
+    """ApproxCount as a loop of Count(P) runs, each charging its Checking
+    calls and then sampling its outcome with ``Generator.choice``."""
+    steps = max(4, math.ceil(4.0 * math.pi / accuracy))
+    runs = runs_for_confidence(alpha)
+    t, N = oracle.marked_count(), 2 * oracle.domain_size
+    estimates = []
+    for _ in range(runs):
+        oracle.charge_checking(metrics, 2 * steps)
+        omega = eigenphase_turns(t, N)
+        if 0 < t < N and rng.bernoulli(0.5):
+            omega = 1.0 - omega
+        y = int(rng.generator.choice(steps, p=qpe_distribution(omega, steps)))
+        estimates.append(counting_estimate_from_outcome(y, N, steps))
+    return float(statistics.median(estimates)), runs, steps, 2 * steps * runs
+
+
+class TestColumnParity:
+    """One column of runs reproduces the per-run loop bit for bit: same
+    estimate, same ledger entries, same generator state afterwards."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1e-6])
+    @pytest.mark.parametrize("marked", [0, 1, 20, 40])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_per_run_loop(self, marked, alpha, seed):
+        N, accuracy = 40, 0.1
+        expected_metrics, expected_rng = MetricsRecorder(), RandomSource(seed)
+        expected = _per_run_approx_count(
+            _oracle(N, marked), accuracy, alpha, expected_metrics, expected_rng
+        )
+        metrics, rng = MetricsRecorder(), RandomSource(seed)
+        result = approx_count(_oracle(N, marked), accuracy, alpha, metrics, rng)
+        assert (
+            result.estimate, result.runs, result.steps_per_run, result.checking_calls
+        ) == expected
+        assert metrics.ledger.entries == expected_metrics.ledger.entries
+        assert rng.generator.bit_generator.state == (
+            expected_rng.generator.bit_generator.state
+        )

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.grover import distributed_grover_search
+from repro.core.grover import GroverSearchResult, distributed_grover_search
 from repro.core.procedures import SetOracle, uniform_charge
 from repro.network.metrics import MetricsRecorder
 from repro.quantum.amplitude import attempts_for_confidence, worst_case_iterations
+from repro.quantum.grover_dynamics import sample_attempt
 from repro.util.fault import FaultInjector
 from repro.util.rng import RandomSource
 
@@ -172,3 +173,75 @@ class TestValidationAndFaults:
             oracle, 0.5, 0.01, MetricsRecorder(), rng, faults=faults
         )
         assert result.succeeded  # later attempts land
+
+
+def _every_attempt_search(oracle, epsilon, alpha, metrics, rng, faults=None):
+    """GroverSearch as a loop over the whole schedule: every attempt draws
+    its iteration count, one scalar at a time, even after a success."""
+    cap = worst_case_iterations(epsilon)
+    attempts = attempts_for_confidence(alpha)
+    probe = MetricsRecorder()
+    oracle.charge_checking(probe, 1)
+    charged = iterations_run = 0
+    found = None
+    for _ in range(attempts):
+        iterations = rng.uniform_int(0, cap - 1)
+        if found is None:
+            calls = 2 * iterations + 1
+            oracle.charge_checking(metrics, calls)
+            charged += calls
+            iterations_run += iterations
+            outcome = sample_attempt(
+                oracle.marked_fraction(), iterations, rng, faults=faults
+            )
+            if outcome.measured_marked and oracle.marked_count() > 0:
+                found = oracle.sample_marked(rng)
+    skipped = attempts * (2 * cap + 1) - charged
+    if skipped > 0 and probe.rounds > 0:
+        metrics.advance_rounds("grover.synchronized-idle", skipped * probe.rounds)
+    return GroverSearchResult(found, attempts, iterations_run, charged)
+
+
+class TestIdleTailParity:
+    """Leaving the attempt loop at the first success and drawing the idle
+    tail as one column reproduces the full loop bit for bit."""
+
+    def _assert_parity(self, domain, marked, epsilon, forced=0, seed=3):
+        runs = []
+        for search in (_every_attempt_search, distributed_grover_search):
+            faults = FaultInjector()
+            if forced:
+                faults.force("grover.false_negative", times=forced)
+            metrics, rng = MetricsRecorder(), RandomSource(seed)
+            result = search(
+                _oracle(domain, marked), epsilon, 0.01, metrics, rng, faults=faults
+            )
+            runs.append(
+                (
+                    result,
+                    metrics.ledger.entries,
+                    rng.generator.bit_generator.state,
+                    dict(faults.triggered),
+                )
+            )
+        assert runs[0] == runs[1]
+        return runs[1][0]
+
+    def test_no_marked_elements(self):
+        result = self._assert_parity(32, set(), 1 / 32)
+        assert not result.succeeded
+
+    def test_success_on_first_attempt(self):
+        # A fully marked domain succeeds at once; the other 16 attempts idle.
+        result = self._assert_parity(16, set(range(16)), 1 / 16)
+        assert result.succeeded
+        assert result.checking_calls == 2 * result.iterations_charged + 1
+
+    def test_forced_false_negatives(self):
+        result = self._assert_parity(16, set(range(16)), 1 / 16, forced=3)
+        assert result.succeeded
+        assert result.checking_calls == 2 * result.iterations_charged + 4
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partial_marking(self, seed):
+        self._assert_parity(64, {3, 9, 27}, 1 / 64, seed=seed)

@@ -8,7 +8,10 @@ from repro.quantum.phase_estimation import (
     counting_estimate_from_outcome,
     eigenphase_turns,
     qpe_distribution,
+    sample_counting_estimate,
+    sample_counting_estimates,
 )
+from repro.util.rng import RandomSource
 
 phases = st.floats(min_value=0.0, max_value=0.9999, allow_nan=False)
 sizes = st.integers(min_value=1, max_value=512)
@@ -69,3 +72,36 @@ class TestCountingDecoder:
             a = counting_estimate_from_outcome(y, N, P)
             b = counting_estimate_from_outcome(P - y, N, P)
             assert abs(a - b) < 1e-6
+
+
+def _choice_estimate(t, N, P, rng):
+    """One Count(P) outcome drawn with ``Generator.choice`` on the exact law."""
+    omega = eigenphase_turns(t, N)
+    if 0 < t < N and rng.bernoulli(0.5):
+        omega = 1.0 - omega
+    y = int(rng.generator.choice(P, p=qpe_distribution(omega, P)))
+    return counting_estimate_from_outcome(y, N, P)
+
+
+class TestColumnSampling:
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_column_equals_one_run_draws(self, t_raw, N, P, runs, seed):
+        """``runs`` estimates in one column are the ``runs`` one-run draws
+        of a source with the same seed, and leave it in the same state."""
+        t = t_raw % (N + 1)
+        column_rng = RandomSource(seed)
+        column = sample_counting_estimates(t, N, P, column_rng, runs)
+        for one_run in (sample_counting_estimate, _choice_estimate):
+            rng = RandomSource(seed)
+            draws = [one_run(t, N, P, rng) for _ in range(runs)]
+            assert column.tolist() == draws
+            assert rng.generator.bit_generator.state == (
+                column_rng.generator.bit_generator.state
+            )

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.quantum import phase_estimation
 from repro.quantum.phase_estimation import (
     counting_error_bound,
     counting_estimate_from_outcome,
     eigenphase_turns,
     qpe_distribution,
     sample_counting_estimate,
+    sample_counting_estimates,
 )
 from repro.util.rng import RandomSource
 
@@ -106,3 +108,50 @@ class TestCountingEstimate:
         assert counting_error_bound(25, 100, 10) == pytest.approx(
             (2 * math.pi / 10) * 50 + (math.pi**2 / 100) * 100
         )
+
+
+class TestCachedLaw:
+    """The cached outcome CDFs keep ``Generator.choice``'s checks on the law
+    and cannot be written through."""
+
+    @pytest.fixture
+    def law(self, monkeypatch):
+        """Serve a chosen outcome law in place of the exact one."""
+        served = {}
+        monkeypatch.setattr(
+            phase_estimation, "qpe_distribution", lambda omega, P: served["law"]
+        )
+        phase_estimation._outcome_cdf.cache_clear()
+        yield served
+        phase_estimation._outcome_cdf.cache_clear()
+
+    def _assert_rejected(self, law, served):
+        served["law"] = law
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(law), p=law)
+        with pytest.raises(ValueError):
+            sample_counting_estimates(0, 8, len(law), RandomSource(0), 3)
+
+    def test_rejects_non_finite_law(self, law):
+        self._assert_rejected(np.array([0.5, np.nan, 0.5]), law)
+        self._assert_rejected(np.array([0.5, np.inf, 0.5]), law)
+
+    def test_rejects_negative_law(self, law):
+        self._assert_rejected(np.array([0.6, 0.6, -0.2]), law)
+
+    def test_rejects_mass_away_from_one(self, law):
+        self._assert_rejected(np.array([0.5, 0.5 + 1e-6]), law)
+        law["law"] = np.array([0.5, 0.5 + 1e-10])  # within √eps, as choice allows
+        assert sample_counting_estimates(0, 8, 2, RandomSource(0), 3).shape == (3,)
+
+    def test_cached_cdf_is_read_only(self):
+        sample_counting_estimates(3, 16, 8, RandomSource(0), 5)
+        cdf = phase_estimation._outcome_cdf(3, 16, 8, False)
+        assert not cdf.flags.writeable
+        with pytest.raises(ValueError):
+            cdf[0] = 1.0
+        assert cdf[-1] == 1.0
+
+    def test_rejects_empty_column(self):
+        with pytest.raises(ValueError):
+            sample_counting_estimates(3, 16, 8, RandomSource(0), 0)

@@ -15,6 +15,7 @@ from repro.runtime import (
     topology_memo_enabled,
 )
 from repro.runtime.scenario import _TOPOLOGY_MEMO
+from repro.util.rng import RandomSource
 
 
 @pytest.fixture(autouse=True)
@@ -128,6 +129,20 @@ class TestResultStore:
         # The partially-cached run equals a cold full run bit for bit.
         cold = run_scenario(_star_scenario(sizes=(16, 32)), jobs=1)
         assert extended.trial_sets == cold.trial_sets
+
+    def test_full_hit_draws_no_seeds(self, tmp_path, monkeypatch):
+        """A run served wholly from the store builds no root source and
+        spawns no per-trial streams."""
+        store = ResultStore(tmp_path)
+        cold = run_scenario(_star_scenario(), jobs=1, store=store)
+
+        def explode(*args, **kwargs):
+            raise AssertionError("seed drawn for a fully cached run")
+
+        for name in ("__init__", "spawn", "spawn_many"):
+            monkeypatch.setattr(RandomSource, name, explode)
+        warm = run_scenario(_star_scenario(), jobs=1, store=store)
+        assert warm.trial_sets == cold.trial_sets
 
     def test_identity_mismatch_misses(self, tmp_path):
         store = ResultStore(tmp_path)
