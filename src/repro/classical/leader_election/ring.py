@@ -50,6 +50,20 @@ def _ring_ports(topology, v: int) -> tuple[int, int]:
     return cw, ccw
 
 
+def _ring_port_columns(topology) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ring_ports` of every node as two int64 columns.
+
+    One gather through the topology's port table: a node's clockwise port
+    is 0 when port 0 reaches ``v + 1``, else 1, and the other of its two
+    ports is counterclockwise.
+    """
+    n = topology.n
+    nodes = np.arange(n, dtype=np.int64)
+    at_port0 = topology.port_table().receivers(nodes, np.zeros(n, dtype=np.int64))
+    cw = (at_port0 != (nodes + 1) % n).astype(np.int64)
+    return cw, 1 - cw
+
+
 class _LCRNode(Node):
     """Chang–Roberts: forward larger ids clockwise; own id returning wins."""
 
@@ -124,9 +138,7 @@ class _LCRBatch(BatchProtocol):
         super().__init__(n)
         self.kernels = get_kernels()
         self.ring_id = np.asarray(ring_ids, dtype=np.int64)
-        self.cw_port = np.asarray(
-            [topology.port_to(v, (v + 1) % n) for v in range(n)], dtype=np.int64
-        )
+        self.cw_port, _ = _ring_port_columns(topology)
 
     def step_batch(self, round_index, inbox):
         n = self.n
@@ -341,30 +353,24 @@ class _HSBatch(BatchProtocol):
     emissions in the per-port CONGEST collapse.  The batch form replays
     that exactly: inbox rows are processed in per-receiver passes (pass k
     handles every node's k-th message, so state updates from pass k are
-    visible in pass k+1), and emissions land in per-(node, direction)
-    outbox *slots* carrying the scalar collapse priorities (halt 3 >
-    reply 2 > probe 1, probes tie-break on larger id, first write wins
-    otherwise).  Slot fill sequence numbers reproduce the scalar dict's
-    insertion order, giving the identical canonical send order.
+    visible in pass k+1), and emissions land in per-(node, port) outbox
+    *slots* carrying the scalar collapse priorities (halt 3 > reply 2 >
+    probe 1, probes tie-break on larger id, first write wins otherwise).
+    Slot fill sequence numbers reproduce the scalar dict's insertion
+    order, giving the identical canonical send order.
     """
 
     def __init__(self, topology, ring_ids: np.ndarray):
         n = topology.n
         super().__init__(n)
         self.ring_id = np.asarray(ring_ids, dtype=np.int64)
-        self.cw_port = np.asarray(
-            [topology.port_to(v, (v + 1) % n) for v in range(n)], dtype=np.int64
-        )
-        self.ccw_port = np.asarray(
-            [topology.port_to(v, (v - 1) % n) for v in range(n)], dtype=np.int64
-        )
+        self.cw_port, self.ccw_port = _ring_port_columns(topology)
         self.phase = np.zeros(n, dtype=np.int64)
         self.replies = np.zeros(n, dtype=np.int64)
-        # Per-(node, direction) outbox slots: slot 2v is v's clockwise
-        # message this round, slot 2v+1 its counterclockwise one.
-        self.slot_port = np.empty(2 * n, dtype=np.int64)
-        self.slot_port[0::2] = self.cw_port
-        self.slot_port[1::2] = self.ccw_port
+        # Per-(node, port) outbox slots: slot 2v + p is v's message on
+        # port p this round.  Ring nodes have ports 0 and 1, so a message
+        # passed on through a node leaves on the port it did not arrive on,
+        # ``p ^ 1``.
         self.slot_rank = np.zeros(2 * n, dtype=np.int64)
         self.slot_kind = np.zeros(2 * n, dtype=np.int64)
         self.slot_value = np.zeros(2 * n, dtype=np.int64)
@@ -375,147 +381,163 @@ class _HSBatch(BatchProtocol):
 
     # -- outbox slot machinery ---------------------------------------------
 
-    def _emit(self, nodes, dirs, kind, values, hops, rank) -> None:
-        """Offer one message per node to its (node, dir) slot.
+    def _emit(self, nodes, ports, kind, values, hops, rank) -> None:
+        """Offer one message per node to its (node, port) slot.
 
         Mirrors the scalar per-port collapse: higher rank replaces, equal
         probe ranks tie-break on larger id, everything else keeps the
-        incumbent.  ``dirs``/``hops`` may be scalars or arrays.
+        incumbent.  ``hops`` may be a scalar or an array.
         """
         seq = self._seq
         self._seq += 1
-        if not len(nodes):
-            return
-        slots = 2 * nodes + dirs
+        slots = 2 * nodes + ports
         cur = self.slot_rank[slots]
-        if rank == 1:
-            replace = (cur == 0) | (
-                (cur == 1) & (values > self.slot_value[slots])
-            )
-        else:
-            replace = cur < rank
-        if not replace.any():
-            return
-        s = slots[replace]
-        self.slot_kind[s] = kind
-        self.slot_value[s] = values[replace]
-        self.slot_hops[s] = hops[replace] if isinstance(hops, np.ndarray) else hops
         # First fill records the insertion position (scalar dict order);
         # replacements keep it, exactly like overwriting a dict key.
-        self.slot_seq[s[cur[replace] == 0]] = seq
-        self.slot_rank[s] = rank
-        self._touched.append(s)
+        if not np.count_nonzero(cur):
+            self.slot_seq[slots] = seq
+        else:
+            if rank == 1:
+                replace = (cur == 0) | (
+                    (cur == 1) & (values > self.slot_value[slots])
+                )
+            else:
+                replace = cur < rank
+            if not np.count_nonzero(replace):
+                return
+            slots, cur, values = slots[replace], cur[replace], values[replace]
+            if isinstance(hops, np.ndarray):
+                hops = hops[replace]
+            self.slot_seq[slots[cur == 0]] = seq
+        self.slot_kind[slots] = kind
+        self.slot_value[slots] = values
+        self.slot_hops[slots] = hops
+        self.slot_rank[slots] = rank
+        self._touched.append(slots)
 
     def _flush(self):
-        if not self._touched:
+        touched = self._touched
+        if not touched:
             return None
         # One _emit fills distinct nodes in ascending order, so its slots
         # are already in canonical send order.  Several may fill a slot
-        # twice (dedup) or one sender's two slots (order them by fill
-        # sequence, the scalar dict's insertion order).
-        if len(self._touched) == 1:
-            slots = self._touched[0]
+        # twice (dedup) or one sender's two slots: order those by fill
+        # sequence, the scalar dict's insertion order (one _emit fills at
+        # most one slot per sender, so a sender's two sequences differ).
+        if len(touched) == 1:
+            slots = touched[0]
         else:
-            slots = np.unique(np.concatenate(self._touched))
+            slots = np.unique(np.concatenate(touched))
             senders = slots >> 1
-            if (senders[1:] == senders[:-1]).any():
-                slots = slots[
-                    np.lexsort((slots & 1, self.slot_seq[slots], senders))
-                ]
-        batch = MessageBatch(
+            if np.count_nonzero(senders[1:] == senders[:-1]):
+                slots = slots[np.lexsort((self.slot_seq[slots], senders))]
+        self._touched = []
+        self.slot_rank[slots] = 0
+        return MessageBatch.from_coerced(
             senders=slots >> 1,
-            ports=self.slot_port[slots],
+            ports=slots & 1,
             kinds=self.slot_kind[slots],
             values=self.slot_value[slots],
             extras={"hops": self.slot_hops[slots]},
         )
-        self.slot_rank[slots] = 0
-        self._touched = []
-        return batch
 
     # -- per-pass protocol logic -------------------------------------------
 
     def _pass(self, v, port, kind, val, hop) -> None:
-        """Process each selected node's next inbox message (≤ 1 per node)."""
-        arrive_dir = np.where(port == self.cw_port[v], 0, 1)
+        """Process each selected node's next inbox message (≤ 1 per node).
+
+        One count per kind gates the three branches, and a pass of one
+        kind hands its rows over unmasked.  The branches touch disjoint
+        nodes, and each keeps the scalar order of its _emit calls, which
+        fixes the slot sequence numbers and so the canonical send order.
+        """
+        branches = (self._probes_in, self._replies_in, self._halts_in)
+        for code, count in enumerate(np.bincount(kind, minlength=3).tolist()):
+            if count == len(v):
+                branches[code](v, port, val, hop)
+            elif count:
+                sel = np.nonzero(kind == code)[0]
+                branches[code](v[sel], port[sel], val[sel], hop[sel])
+
+    def _probes_in(self, v, port, val, hop) -> None:
         my_id = self.ring_id[v]
-        # Each kind's branch runs only when the kind is present; the
-        # _emit calls keep their order, which fixes the slot sequence
-        # numbers and so the canonical send order.
-        probe = kind == _HS_PROBE
-        if probe.any():
+        bigger = val > my_id
+        n_bigger = np.count_nonzero(bigger)
+        if n_bigger < len(v):
             # Own probe circled the whole ring: we win (idempotent per
-            # round).
-            own = (
-                probe & (val == my_id) & (self.status_codes[v] != STATUS_ELECTED)
-            )
-            if own.any():
+            # round).  Probes with smaller ids are swallowed.
+            own = (val == my_id) & (self.status_codes[v] != STATUS_ELECTED)
+            if np.count_nonzero(own):
                 w = v[own]
                 self.status_codes[w] = STATUS_ELECTED
-                self._emit(w, 0, _HS_HALT, self.ring_id[w], 0, 3)
+                self._emit(w, self.cw_port[w], _HS_HALT, val[own], 0, 3)
+            if not n_bigger:
+                return
+            v, port, val, hop = v[bigger], port[bigger], val[bigger], hop[bigger]
+        # A bigger probe travels on while it has hops left, else it turns
+        # back as a reply.
+        fwd = hop > 1
+        n_fwd = np.count_nonzero(fwd)
+        if n_fwd == len(v):
+            self._emit(v, port ^ 1, _HS_PROBE, val, hop - 1, 1)
+            return
+        if n_fwd:
+            self._emit(
+                v[fwd], port[fwd] ^ 1, _HS_PROBE, val[fwd], hop[fwd] - 1, 1
+            )
+        turn = ~fwd
+        self._emit(v[turn], port[turn], _HS_REPLY, val[turn], 0, 2)
 
-            bigger = probe & (val > my_id)
-            fwd = bigger & (hop > 1)
-            if fwd.any():
-                self._emit(
-                    v[fwd], 1 - arrive_dir[fwd], _HS_PROBE, val[fwd],
-                    hop[fwd] - 1, 1,
-                )
-            turn = bigger & (hop == 1)
-            if turn.any():
-                self._emit(v[turn], arrive_dir[turn], _HS_REPLY, val[turn], 0, 2)
+    def _replies_in(self, v, port, val, hop) -> None:
+        mine = val == self.ring_id[v]
+        n_mine = np.count_nonzero(mine)
+        if n_mine:
+            w = v if n_mine == len(v) else v[mine]
+            self.replies[w] += 1
+            up = w[self.replies[w] == 2]
+            if len(up):
+                self.replies[up] = 0
+                self.phase[up] += 1
+                new_hops = np.int64(1) << self.phase[up]
+                ids = self.ring_id[up]
+                self._emit(up, self.cw_port[up], _HS_PROBE, ids, new_hops, 1)
+                self._emit(up, self.ccw_port[up], _HS_PROBE, ids, new_hops, 1)
+            if n_mine == len(v):
+                return
+            fwd = ~mine
+            v, port, val = v[fwd], port[fwd], val[fwd]
+        self._emit(v, port ^ 1, _HS_REPLY, val, 0, 2)
 
-        reply = kind == _HS_REPLY
-        if reply.any():
-            mine = reply & (val == my_id)
-            if mine.any():
-                w = v[mine]
-                self.replies[w] += 1
-                up = w[self.replies[w] == 2]
-                if len(up):
-                    self.replies[up] = 0
-                    self.phase[up] += 1
-                    new_hops = np.int64(1) << self.phase[up]
-                    self._emit(up, 0, _HS_PROBE, self.ring_id[up], new_hops, 1)
-                    self._emit(up, 1, _HS_PROBE, self.ring_id[up], new_hops, 1)
-            fwd_reply = reply & (val != my_id)
-            if fwd_reply.any():
-                self._emit(
-                    v[fwd_reply],
-                    1 - arrive_dir[fwd_reply],
-                    _HS_REPLY,
-                    val[fwd_reply],
-                    0,
-                    2,
-                )
-
-        halt = kind == _HS_HALT
-        if halt.any():
-            elected = self.status_codes[v] == STATUS_ELECTED
-            # A halting node still processes its remaining inbox (and its
-            # same-round sends go out), matching scalar halt semantics.
-            self.halted[v[halt & elected]] = True
-            lose = halt & ~elected
-            if lose.any():
-                w = v[lose]
-                self.status_codes[w] = STATUS_NON_ELECTED
-                self._emit(w, 0, _HS_HALT, val[lose], 0, 3)
-                self.halted[w] = True
+    def _halts_in(self, v, port, val, hop) -> None:
+        # A halting node still processes its remaining inbox (and its
+        # same-round sends go out), matching scalar halt semantics.
+        elected = self.status_codes[v] == STATUS_ELECTED
+        n_elected = np.count_nonzero(elected)
+        if n_elected:
+            self.halted[v[elected]] = True
+            if n_elected == len(v):
+                return
+            lose = ~elected
+            v, val = v[lose], val[lose]
+        self.status_codes[v] = STATUS_NON_ELECTED
+        self._emit(v, self.cw_port[v], _HS_HALT, val, 0, 3)
+        self.halted[v] = True
 
     def step_batch(self, round_index, inbox):
         self._seq = 0
         if round_index == 0:
             alive = np.nonzero(~self.halted)[0]
             ones = np.ones(len(alive), dtype=np.int64)  # hops = 1 << phase 0
-            self._emit(alive, 0, _HS_PROBE, self.ring_id[alive], ones, 1)
-            self._emit(alive, 1, _HS_PROBE, self.ring_id[alive], ones, 1)
+            ids = self.ring_id[alive]
+            self._emit(alive, self.cw_port[alive], _HS_PROBE, ids, ones, 1)
+            self._emit(alive, self.ccw_port[alive], _HS_PROBE, ids, ones, 1)
             return self._flush()
         if not len(inbox):
             return None
         rec = inbox.receivers
         hops = inbox.extras["hops"]
         repeat = rec[1:] == rec[:-1]
-        if not repeat.any():
+        if not np.count_nonzero(repeat):
             self._pass(rec, inbox.ports, inbox.kinds, inbox.values, hops)
             return self._flush()
         # Pass k processes every node's k-th inbox row, so sequential

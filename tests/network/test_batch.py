@@ -16,6 +16,7 @@ from repro.network.engine import CongestViolation, SynchronousEngine
 from repro.network.message import Message, congest_capacity_bits
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Node, Status
+from repro.network.porttable import CSRPortTable, CompletePortTable, CyclePortTable
 from repro.telemetry.trace import JsonlTracer
 from repro.util.rng import RandomSource
 
@@ -228,6 +229,21 @@ class TestBatchDispatchValidation:
         ):
             engine.run(max_rounds=2)
 
+    def test_descending_senders_reported_before_invalid_port(self):
+        # Slots 3·2 + 0 = 6 and 2·2 + 7 = 11 rise, but port 7 is invalid
+        # and the senders descend: sender order is reported first.
+        program = _Planned(4, [3, 2], [0, 7])
+        engine = SynchronousEngine(graphs.cycle(4), program, MetricsRecorder())
+        with pytest.raises(ValueError, match="canonical sender order"):
+            engine.run(max_rounds=2)
+
+    def test_invalid_port_reported_before_congest_violation(self):
+        # The (0, 7) pair repeats, but the port is invalid first.
+        program = _Planned(4, [0, 0], [7, 7])
+        engine = SynchronousEngine(graphs.cycle(4), program, MetricsRecorder())
+        with pytest.raises(ValueError, match="node 0 sent on invalid port 7"):
+            engine.run(max_rounds=2)
+
     def test_out_of_order_distinct_ports_pass(self):
         program = _Planned(4, [0, 0], [1, 0])
         metrics = MetricsRecorder()
@@ -255,6 +271,64 @@ class TestBatchDispatchValidation:
         receivers, _, senders = program.seen[1]
         assert receivers == sorted(receivers)
         assert sorted(zip(receivers, senders)) == list(zip(receivers, senders))
+
+
+class _ListOutbox(BatchProtocol):
+    """Round 0: every node sends on port 0, columns given as Python lists
+    plus an int32 extras column; round 1: keeps its inbox and halts."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.inbox = None
+
+    def step_batch(self, round_index, inbox):
+        if round_index == 0:
+            nodes = list(range(self.n))
+            return MessageBatch(
+                senders=nodes,
+                ports=[0] * self.n,
+                kinds=[1] * self.n,
+                values=nodes,
+                bits=[0] * self.n,
+                extras={"tag": np.asarray(nodes, dtype=np.int32)},
+            )
+        self.inbox = inbox
+        self.halted[:] = True
+        return None
+
+
+class TestInboxColumns:
+    @pytest.mark.parametrize(
+        "build, table",
+        [
+            (graphs.cycle, CyclePortTable),
+            (graphs.complete, CompletePortTable),
+            (graphs.wheel, CSRPortTable),
+        ],
+    )
+    def test_inbox_columns_keep_their_types(self, build, table):
+        topology = build(6)
+        assert isinstance(topology.port_table(), table)
+        program = _ListOutbox(topology.n)
+        SynchronousEngine(topology, program, MetricsRecorder()).run(max_rounds=3)
+        inbox = program.inbox
+        assert len(inbox) == topology.n
+        for column in (
+            inbox.senders,
+            inbox.ports,
+            inbox.kinds,
+            inbox.values,
+            inbox.bits,
+            inbox.receivers,
+        ):
+            assert column.dtype == np.int64
+            assert column.flags.c_contiguous
+        tag = inbox.extras["tag"]
+        assert tag.dtype == np.int32
+        assert tag.flags.c_contiguous
+        assert inbox.values.tolist() == inbox.senders.tolist()
+        assert tag.tolist() == inbox.senders.tolist()
+        assert inbox.receivers.tolist() == sorted(inbox.receivers.tolist())
 
 
 class TestHaltSemantics:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.network import graphs
 from repro.network.porttable import (
+    MASK_MAX_ROWS,
     BipartitePortTable,
     CSRPortTable,
     CompletePortTable,
@@ -130,6 +131,23 @@ class TestTableKinds:
     def test_tables_are_port_tables(self):
         for topology in ALL_FAMILIES.values():
             assert isinstance(topology.port_table(), PortTable)
+
+
+class TestFindBadPort:
+    @pytest.mark.parametrize(
+        "rows", [1, 5, MASK_MAX_ROWS - 1, MASK_MAX_ROWS, 3 * MASK_MAX_ROWS]
+    )
+    @pytest.mark.parametrize("bad", [-1, 2, None])
+    def test_first_bad_port_on_both_sides_of_the_mask_cutoff(self, rows, bad):
+        # Uniform tables pick their range check by row count; both forms
+        # must report the same first bad row.
+        table = graphs.cycle(8).port_table()
+        ports = np.arange(rows, dtype=np.int64) % 2
+        senders = np.zeros(rows, dtype=np.int64)
+        if bad is not None:
+            ports[rows // 2 :] = bad
+        expected = None if bad is None else rows // 2
+        assert table.find_bad_port(senders, ports) == expected
 
 
 class TestPortToErrors:
