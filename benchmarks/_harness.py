@@ -1,8 +1,9 @@
 """Shared benchmark harness.
 
-Every bench module in this directory regenerates one experiment from the
-per-experiment index in DESIGN.md (the paper has no numbered tables/figures;
-its evaluation is its theorems).  A bench:
+Every bench module in this directory regenerates one experiment of the
+E1–E12 table in README.md's Experiments section (the paper has no numbered
+tables/figures; its evaluation is its theorems; EXPERIMENTS.md records the
+results).  A bench:
 
 1. sweeps the relevant parameter grid with repeated trials,
 2. prints a paper-style comparison table plus fitted exponents,

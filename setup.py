@@ -1,14 +1,29 @@
 """Packaging for the PODC 2025 quantum leader-election reproduction."""
 
 import pathlib
+import re
 
 from setuptools import find_packages, setup
 
-README = pathlib.Path(__file__).parent / "README.md"
+HERE = pathlib.Path(__file__).parent
+README = HERE / "README.md"
+
+
+def read_version() -> str:
+    """``__version__`` from the package's ``__init__.py``, read as text.
+
+    Importing the package would need numpy at build time.
+    """
+    source = (HERE / "src" / "repro" / "__init__.py").read_text()
+    match = re.search(r'^__version__ = "([^"]+)"$', source, re.MULTILINE)
+    if match is None:
+        raise RuntimeError("no __version__ in src/repro/__init__.py")
+    return match.group(1)
+
 
 setup(
     name="repro-quantum-le",
-    version="1.1.0",
+    version=read_version(),
     description=(
         "Reproduction of 'Quantum Communication Advantage for Leader "
         "Election and Agreement' (Dufoulon, Magniez, Pandurangan; PODC 2025)"

@@ -5,7 +5,9 @@ The package implements the paper's distributed quantum subroutines (Grover
 search, quantum counting, search via quantum walk), its five protocols
 (QuantumLE, QuantumRWLE, QuantumQWLE, QuantumGeneralLE, QuantumAgreement),
 the classical baselines they are measured against, and the CONGEST network
-substrate underneath — see DESIGN.md for the full inventory.
+substrate underneath.  README.md's Architecture section maps the layers, its
+Experiments section tabulates the reproduced claims E1–E12, and
+EXPERIMENTS.md records the measured results.
 
 Quickstart::
 

@@ -31,6 +31,7 @@ from repro.fabric.queue import (
     FabricQueue,
     IncompleteSweepError,
 )
+from repro.network import load_deferred_modules
 from repro.runtime.runner import ScenarioRun
 from repro.runtime.scenario import Scenario
 
@@ -194,11 +195,13 @@ def run_fabric_sweep(
         store_root=None if store is None else store.root,
         store_max_entries=None if store is None else store.max_entries,
     )
-    context = (
-        multiprocessing.get_context("fork")
-        if sys.platform == "linux"
-        else multiprocessing.get_context()
-    )
+    if sys.platform == "linux":
+        context = multiprocessing.get_context("fork")
+        # Forked workers inherit the parent's modules: load the deferred
+        # ones once here, not once per job in every worker.
+        load_deferred_modules()
+    else:
+        context = multiprocessing.get_context()
     fault_plans = fault_plans or {}
     spawned = 0
 

@@ -6,6 +6,7 @@ from repro.network.batch import (
     MessageBatch,
     ScalarAdapter,
 )
+from repro.network.deferred import load_deferred_modules
 from repro.network.engine import (
     BACKENDS,
     CongestViolation,
@@ -93,6 +94,7 @@ __all__ = [
     "estimate_mixing_time",
     "is_connected",
     "lazy_transition_matrix",
+    "load_deferred_modules",
     "messages_for_bits",
     "spectral_gap",
     "stationary_distribution",

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.network.graphs import as_explicit
 from repro.network.topology import ExplicitTopology, Topology
 from repro.util.rng import RandomSource
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "RandomWalk",
@@ -37,6 +39,8 @@ __all__ = [
 
 def lazy_transition_matrix(topology: Topology) -> sp.csr_matrix:
     """Row-stochastic lazy transition matrix P = (I + D⁻¹A)/2."""
+    import scipy.sparse as sp  # deferred: see repro.network.deferred
+
     explicit = as_explicit(topology)
     n = explicit.n
     rows, cols, values = [], [], []
@@ -69,6 +73,8 @@ def spectral_gap(topology: Topology) -> float:
     applies.  All lazy-walk eigenvalues lie in [0, 1], so the gap is positive
     for connected graphs.
     """
+    import scipy.sparse as sp  # deferred: see repro.network.deferred
+
     explicit = as_explicit(topology)
     n = explicit.n
     transition = lazy_transition_matrix(explicit)
@@ -80,7 +86,9 @@ def spectral_gap(topology: Topology) -> float:
         eigenvalues = np.linalg.eigvalsh(symmetric.toarray())
         second = eigenvalues[-2]
     else:
-        eigenvalues = spla.eigsh(symmetric, k=2, which="LA", return_eigenvectors=False)
+        from scipy.sparse.linalg import eigsh  # deferred: see repro.network.deferred
+
+        eigenvalues = eigsh(symmetric, k=2, which="LA", return_eigenvectors=False)
         second = np.sort(eigenvalues)[0]
     return float(max(1.0 - second, 1e-12))
 

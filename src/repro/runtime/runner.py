@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
+from repro.network import load_deferred_modules
 from repro.runtime.registry import TrialOutcome
 from repro.runtime.scenario import Scenario
 from repro.telemetry import current_profiler, current_tracer, metrics_registry
@@ -168,11 +169,14 @@ def fan_out(fn, tasks: list, jobs: int | None = 1) -> list:
     jobs = min(resolve_jobs(jobs), len(tasks))
     if jobs <= 1:
         return [fn(task) for task in tasks]
-    # Prefer fork on Linux (fast, inherits sys.path); elsewhere the platform
-    # default — forking is unsafe on macOS once numpy/Accelerate is loaded.
-    context = (
-        multiprocessing.get_context("fork") if sys.platform == "linux" else None
-    )
+    # Prefer fork on Linux (fast, inherits sys.path and loaded modules, so
+    # the deferred ones are loaded here once, not in every job); elsewhere
+    # the platform default — forking is unsafe on macOS once
+    # numpy/Accelerate is loaded.
+    context = None
+    if sys.platform == "linux":
+        context = multiprocessing.get_context("fork")
+        load_deferred_modules()
     chunksize = max(1, len(tasks) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))

@@ -1,5 +1,7 @@
 """Tests for repro.network.random_walk."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,9 +75,18 @@ class TestSpectralGap:
         assert spectral_gap(graphs.cycle(30)) > 0
 
     def test_large_graph_sparse_path(self):
-        """n > 256 exercises the eigsh branch."""
+        """n > 256 exercises the eigsh branch: C_17 x C_17 has a closed form.
+
+        The simple walk's eigenvalues are (cos 2πj/17 + cos 2πk/17)/2, so
+        the lazy walk's gap is (1 - cos(2π/17))/4.
+        """
         t = graphs.torus(17, 17)
-        assert 0 < spectral_gap(t) < 1
+        expected = (1.0 - math.cos(2.0 * math.pi / 17.0)) / 4.0
+        assert spectral_gap(t) == pytest.approx(expected, abs=1e-9)
+
+    def test_large_hypercube_sparse_path(self):
+        """Q_9 (512 nodes, eigsh branch): simple-walk λ₂ = 1 - 2/9, lazy gap 1/9."""
+        assert spectral_gap(graphs.hypercube(9)) == pytest.approx(1.0 / 9.0, abs=1e-9)
 
 
 class TestMixingTime:
