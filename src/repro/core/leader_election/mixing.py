@@ -21,7 +21,10 @@ The simulation walks all C·k referee tokens as one column
 (:meth:`~repro.network.random_walk.RandomWalk.endpoints`, one array step per
 hop) and records each node's highest received rank as a dense rank level
 (:meth:`~repro.core.candidates.CandidateDraw.rank_levels`), so ranks compare
-exactly even where they outgrow int64.
+exactly even where they outgrow int64.  The candidates' exact walk
+distributions, which fix each Grover search's marked fraction, advance as
+one sparse block product per hop
+(:meth:`~repro.network.random_walk.RandomWalk.distributions_after`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.core.results import LeaderElectionResult
 from repro.network.message import messages_for_bits
 from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
-from repro.network.random_walk import RandomWalk, estimate_mixing_time
+from repro.network.random_walk import RandomWalk, estimate_mixing_time, hit_mass
 from repro.network.topology import Topology
 from repro.util.fault import FaultInjector
 from repro.util.rng import RandomSource
@@ -148,9 +151,18 @@ def quantum_rwle(
     checking_rounds = 2 * walk_length
     epsilon = k / (EPSILON_SLACK * n)
 
-    def make_task(v: int, level: int):
-        holders = np.flatnonzero(held > level).tolist()
-        marked_fraction = walk.hit_probability(v, walk_length, holders)
+    # Each candidate's exact marked fraction ε_f: the mass its τ-step walk
+    # puts on nodes holding a higher rank level.  Every candidate's
+    # distribution advances in one block product per hop; no rng is drawn.
+    holder_sets = [np.flatnonzero(held > level) for level in levels.tolist()]
+    marked_fractions = [
+        hit_mass(column, holders)
+        for column, holders in zip(
+            walk.distributions_after(draw.candidates, walk_length), holder_sets
+        )
+    ]
+
+    def make_task(holders: np.ndarray, marked_fraction: float):
         # The Grover domain is the (huge) space of random-choice strings; the
         # dynamics only need the marked fraction, which we realize exactly on
         # an integer domain of matching resolution.
@@ -166,8 +178,8 @@ def quantum_rwle(
             charge_checking=uniform_charge(
                 checking_messages, checking_rounds, "quantum-rwle.grover.checking"
             ),
-            sample_marked_fn=lambda r: holders[r.uniform_int(0, len(holders) - 1)]
-            if holders
+            sample_marked_fn=lambda r: int(holders[r.uniform_int(0, holders.size - 1)])
+            if holders.size
             else None,
         )
 
@@ -181,7 +193,10 @@ def quantum_rwle(
     searches = run_in_parallel(
         metrics,
         "quantum-rwle.grover",
-        [make_task(v, level) for v, level in zip(draw.candidates, levels.tolist())],
+        [
+            make_task(holders, fraction)
+            for holders, fraction in zip(holder_sets, marked_fractions)
+        ],
     )
 
     for v, search in zip(draw.candidates, searches):

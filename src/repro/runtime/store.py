@@ -336,12 +336,14 @@ class ResultStore:
 
     def evict(self) -> int:
         """Drop least-recently-written entries beyond ``max_entries``."""
-        if not self.root.is_dir():
-            return 0
-        # Runs on every save: bail on a bare count before paying for the
+        # Runs on every save: bail on a bare count of entry names (one
+        # listdir pass; ``*.tmp`` files never count) before paying for the
         # per-file stat + sort that ordering the eviction needs.
-        count = sum(1 for _ in self.root.glob("*.json"))
-        if count <= self.max_entries:
+        try:
+            names = os.listdir(self.root)
+        except OSError:  # no cache directory (yet)
+            return 0
+        if sum(name.endswith(".json") for name in names) <= self.max_entries:
             return 0
         paths = self.entries()
         excess = len(paths) - self.max_entries

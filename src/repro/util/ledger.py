@@ -10,13 +10,18 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["CostLedger", "LedgerEntry"]
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One labelled charge: ``messages`` messages over ``rounds`` rounds."""
+class LedgerEntry(NamedTuple):
+    """One labelled charge: ``messages`` messages over ``rounds`` rounds.
+
+    Immutable, compared and hashed by value.  A named tuple, not a frozen
+    dataclass: :meth:`CostLedger.charge` builds one per charge, and tens of
+    thousands of charges per sweep make its construction cost count.
+    """
 
     label: str
     messages: int
@@ -42,7 +47,7 @@ class CostLedger:
                 f"negative charge not allowed: label={label!r}, "
                 f"messages={messages}, rounds={rounds}"
             )
-        self.entries.append(LedgerEntry(label=label, messages=messages, rounds=rounds))
+        self.entries.append(LedgerEntry(label, messages, rounds))
 
     @property
     def total_messages(self) -> int:

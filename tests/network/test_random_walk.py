@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.network import graphs
+from repro.core.leader_election.mixing import quantum_rwle
+from repro.network import graphs, random_walk
 from repro.network.random_walk import (
     RandomWalk,
     estimate_mixing_time,
+    hit_mass,
     lazy_transition_matrix,
     spectral_gap,
     stationary_distribution,
 )
+from repro.network.topology import ExplicitTopology
 from repro.util.rng import RandomSource
 
 
@@ -236,3 +242,193 @@ class TestColumnWalks:
         for _ in range(9):
             state = matrix.T @ state
         assert np.array_equal(RandomWalk(topology).distribution_after(0, 9), state)
+
+
+def _reference_transition_matrix(topology):
+    """P built node by node from sorted adjacency lists, as a plain loop."""
+    explicit = graphs.as_explicit(topology)
+    rows, cols, values = [], [], []
+    for v in range(explicit.n):
+        neighbours = explicit.adjacency_list(v)
+        rows.append(v)
+        cols.append(v)
+        values.append(0.5)
+        for u in neighbours:
+            rows.append(v)
+            cols.append(u)
+            values.append(0.5 / len(neighbours))
+    return sp.csr_matrix((values, (rows, cols)), shape=(explicit.n, explicit.n))
+
+
+_FAMILIES = [
+    (graphs.hypercube(6), "hypercube6"),
+    (graphs.complete(17), "complete17"),
+    (graphs.star(9), "star9"),
+    (graphs.cycle(11), "cycle11"),
+    (graphs.complete_bipartite(3, 5), "bipartite3-5"),
+    (graphs.lollipop(5, 4), "lollipop5-4"),
+    (graphs.barbell(6), "barbell6"),
+    (graphs.torus(4, 5), "torus4x5"),
+    (graphs.erdos_renyi(60, 0.2, RandomSource(3)), "gnp60"),
+    (graphs.random_regular(40, 3, RandomSource(4)), "regular40-3"),
+]
+
+
+class TestPortTableTransitionMatrix:
+    """``lazy_transition_matrix`` reads the port table, not adjacency lists."""
+
+    @pytest.mark.parametrize(
+        "topology", [t for t, _ in _FAMILIES], ids=[name for _, name in _FAMILIES]
+    )
+    def test_same_csr_arrays_as_reference_loop(self, topology):
+        matrix = lazy_transition_matrix(topology)
+        reference = _reference_transition_matrix(topology)
+        for name in ("indptr", "indices", "data"):
+            ours, theirs = getattr(matrix, name), getattr(reference, name)
+            assert ours.dtype == theirs.dtype, name
+            assert np.array_equal(ours, theirs), name
+
+    def test_isolated_node_raises(self):
+        with pytest.raises(ValueError, match="node 2 is isolated"):
+            lazy_transition_matrix(ExplicitTopology(4, [(0, 1), (1, 3)]))
+
+
+class TestBlockDistributions:
+    """``distributions_after``: every start's distribution per block product."""
+
+    CASES = [
+        (graphs.hypercube(5), 9),
+        (graphs.cycle(9), 13),
+        (graphs.lollipop(5, 4), 11),
+        (graphs.star(7), 6),
+        (graphs.erdos_renyi(40, 0.15, RandomSource(5)), 10),
+    ]
+    IDS = ["hypercube5", "cycle9", "lollipop5-4", "star7", "gnp40"]
+
+    def _check(self, topology, steps):
+        walk = RandomWalk(topology)
+        starts = np.array([0, topology.n - 1, 1, 0, topology.n // 2])
+        columns = list(walk.distributions_after(starts, steps))
+        assert len(columns) == len(starts)
+        transposed = lazy_transition_matrix(topology).T
+        for start, column in zip(starts.tolist(), columns):
+            assert np.array_equal(column, walk.distribution_after(start, steps))
+            state = np.zeros(topology.n)
+            state[start] = 1.0
+            for _ in range(steps):
+                state = transposed @ state
+            assert np.array_equal(column, state)
+
+    @pytest.mark.parametrize("topology, steps", CASES, ids=IDS)
+    def test_columns_match_one_start_chains(self, topology, steps):
+        self._check(topology, steps)
+
+    @pytest.mark.parametrize("topology, steps", CASES, ids=IDS)
+    def test_columns_match_when_split_into_groups(self, topology, steps, monkeypatch):
+        # Two columns per group: the five starts run as groups of 2, 2, 1.
+        monkeypatch.setattr(random_walk, "BLOCK_BYTES", 2 * 2 * topology.n * 8)
+        self._check(topology, steps)
+
+    def test_group_width_follows_the_byte_budget(self, monkeypatch):
+        monkeypatch.setattr(random_walk, "BLOCK_BYTES", 3 * 2 * 32 * 8)
+        columns = list(RandomWalk(graphs.hypercube(5)).distributions_after(range(7), 4))
+        # A column of an (n × width) C-ordered block steps width floats.
+        widths = [column.strides[0] // column.itemsize for column in columns]
+        assert widths == [3, 3, 3, 3, 3, 3, 1]
+
+    def test_zero_steps_is_one_hot(self):
+        columns = list(RandomWalk(graphs.cycle(5)).distributions_after([3, 0], 0))
+        assert columns[0].tolist() == [0, 0, 0, 1, 0]
+        assert columns[1].tolist() == [1, 0, 0, 0, 0]
+
+    def test_no_starts_yields_nothing(self):
+        assert list(RandomWalk(graphs.cycle(5)).distributions_after([], 3)) == []
+
+
+class TestHitMass:
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True),
+            min_size=1,
+            max_size=40,
+        ),
+        st.data(),
+    )
+    def test_cumsum_adds_left_to_right_like_sum(self, values, data):
+        """``hit_mass`` is ``np.cumsum(x[idx])[-1]``: the Python ``sum``'s bits."""
+        x = np.array(values)
+        idx = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(values) - 1), max_size=40)
+        )
+        assert hit_mass(x, np.array(idx, dtype=np.int64)) == sum(x[t] for t in idx)
+
+    def test_hit_probability_sums_the_distribution_in_target_order(self):
+        walk = RandomWalk(graphs.lollipop(5, 4))
+        dist = walk.distribution_after(2, 7)
+        targets = [8, 0, 3, 5]
+        assert walk.hit_probability(2, 7, targets) == hit_mass(dist, np.array(targets))
+        assert walk.hit_probability(2, 7, np.array(targets)) == hit_mass(
+            dist, np.array(targets)
+        )
+        assert walk.hit_probability(2, 7, np.array([], dtype=np.int64)) == 0.0
+
+
+class TestWalkMemo:
+    """P and the default-accuracy τ live on the topology object."""
+
+    def test_tau_estimated_once_per_topology_object(self, monkeypatch):
+        calls = []
+        original = random_walk.spectral_gap
+
+        def counting(topology):
+            calls.append(topology)
+            return original(topology)
+
+        monkeypatch.setattr(random_walk, "spectral_gap", counting)
+        cube = graphs.hypercube(5)
+        first = quantum_rwle(cube, RandomSource(1))
+        second = quantum_rwle(cube, RandomSource(2))
+        assert calls == [cube]
+        assert first.meta["tau"] == second.meta["tau"]
+        other = graphs.hypercube(5)
+        third = quantum_rwle(other, RandomSource(1))
+        assert calls == [cube, other]
+        assert third.meta["tau"] == first.meta["tau"]
+
+    def test_explicit_accuracy_is_not_memoized(self):
+        cube = graphs.hypercube(4)
+        default = estimate_mixing_time(cube)
+        assert estimate_mixing_time(cube, accuracy=1e-9) > default
+        assert estimate_mixing_time(cube) == default
+
+    def test_transition_matrix_built_once_per_topology_object(self, monkeypatch):
+        built = []
+        original = random_walk.lazy_transition_matrix
+
+        def counting(topology):
+            built.append(topology)
+            return original(topology)
+
+        monkeypatch.setattr(random_walk, "lazy_transition_matrix", counting)
+        cube = graphs.hypercube(4)
+        for walk in (RandomWalk(cube), RandomWalk(cube)):
+            walk.distribution_after(0, 3)
+        spectral_gap(cube)
+        assert built == [cube]
+
+    @pytest.mark.parametrize(
+        "topology",
+        [graphs.hypercube(5), graphs.complete(9), graphs.cycle(8), graphs.star(6)],
+        ids=["hypercube5", "complete9", "cycle8", "star6"],
+    )
+    def test_implicit_walks_never_build_adjacency_lists(self, topology, monkeypatch):
+        def forbidden(topology):
+            raise AssertionError("as_explicit called")
+
+        monkeypatch.setattr(random_walk, "as_explicit", forbidden)
+        walk = RandomWalk(topology)
+        walk.endpoints(np.arange(topology.n), 5, RandomSource(0))
+        assert len(list(walk.distributions_after([0, 1], 5))) == 2
+        estimate_mixing_time(topology)
+        with pytest.raises(AssertionError, match="as_explicit"):
+            walk.topology
