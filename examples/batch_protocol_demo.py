@@ -2,11 +2,14 @@
 
 Walks the EXPERIMENTS.md migration recipe on a minimal protocol —
 max-id flooding on a cycle (every node repeatedly broadcasts the largest
-id it has heard; after n rounds everyone knows the maximum) — then shows
-the same `--node-api` switch on a shipped port (ring LCR).  The scalar
-rows need no port: the engine wraps every node list in `ScalarAdapter`
-and runs it on the same batch core, while `backend="reference"` runs it
-on the one-message-at-a-time oracle loop.
+id it has heard; after n rounds everyone knows the maximum) — then runs
+both programs of a shipped port (ring LCR), pinned with the driver's
+`node_api` argument.  The scalar rows need no port: the engine wraps
+every node list in `ScalarAdapter` and runs it on the same batch core,
+while `backend="reference"` runs it on the one-message-at-a-time oracle
+loop.  The CLI has no such pin: `--engine fast` runs the ports and
+`--engine reference` runs their scalar twins on the oracle, and the
+kernel tier never changes results.
 
 Run with:  PYTHONPATH=src python examples/batch_protocol_demo.py
 """

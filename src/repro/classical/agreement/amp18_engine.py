@@ -33,9 +33,10 @@ detection Θ((n/s)·log n) per undecided candidate per iteration.
 
 Two trace-identical implementations share the schedule: scalar
 :class:`_AMP18Node` (per-node ``step``) and array-native
-:class:`_AMP18Batch` (one ``step_batch`` over SoA columns), selected by
-``node_api`` — the parity property tests assert bit-for-bit equality
-across both, and for the scalar one across both engine backends.
+:class:`_AMP18Batch` (one ``step_batch`` over SoA columns).  The engine
+backend picks one — the port under ``"fast"``, the scalar twin under
+``"reference"`` — and the parity property tests assert bit-for-bit
+equality across both.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ import numpy as np
 
 from repro.core.candidates import draw_candidates
 from repro.core.results import AgreementResult
-from repro.network.batch import BatchProtocol, MessageBatch, wants_batch_dispatch
-from repro.network.engine import SynchronousEngine
+from repro.network.batch import BatchProtocol, MessageBatch
+from repro.network.engine import SynchronousEngine, wants_batch_dispatch
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Node
@@ -397,7 +398,7 @@ def classical_agreement_engine(
     epsilon: float | None = None,
     inform_width: int | None = None,
     adversary=None,
-    node_api: str = "scalar",
+    node_api: str | None = None,
 ) -> AgreementResult:
     """Run the engine-driven [AMP18] shared-coin agreement on K_n.
 
@@ -407,11 +408,11 @@ def classical_agreement_engine(
 
     ``adversary`` (an optional :class:`~repro.adversary.AdversarySpec`)
     injects engine-level message/crash faults — input schedules are
-    applied by the caller when building ``inputs``.  ``node_api`` selects
-    the dispatch: ``"scalar"`` steps :class:`_AMP18Node` instances,
-    ``"batch"`` (or ``"auto"``) runs the array-native
-    :class:`_AMP18Batch` program; both are bit-identical under the same
-    seeds and adversary specs.
+    applied by the caller when building ``inputs``.  The engine backend
+    picks the program: the array-native :class:`_AMP18Batch` under
+    ``"fast"``, the scalar :class:`_AMP18Node` twins under
+    ``"reference"``; both are bit-identical under the same seeds and
+    adversary specs.  ``node_api="batch"``/``"scalar"`` pins one of them.
     """
     n = len(inputs)
     if n < 3:

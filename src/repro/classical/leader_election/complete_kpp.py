@@ -28,9 +28,8 @@ from repro.network.batch import (
     STATUS_NON_ELECTED,
     BatchProtocol,
     MessageBatch,
-    wants_batch_dispatch,
 )
-from repro.network.engine import SynchronousEngine
+from repro.network.engine import SynchronousEngine, wants_batch_dispatch
 from repro.network.kernels import get_kernels
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
@@ -185,7 +184,7 @@ def classical_le_complete(
     rng: RandomSource,
     referees: int | None = None,
     adversary=None,
-    node_api: str = "scalar",
+    node_api: str | None = None,
 ) -> LeaderElectionResult:
     """Run the [KPP+15b]-style classical LE protocol on K_n.
 
@@ -200,11 +199,12 @@ def classical_le_complete(
     stream derives from ``rng`` before the lottery, so a null (or
     absent) spec leaves the run bit-identical to the fault-free path.
 
-    ``node_api`` selects the engine dispatch: ``"scalar"`` steps
-    :class:`_KPPNode` instances, ``"batch"`` (or ``"auto"``) runs the
-    array-native :class:`_KPPBatch` program — identical messages, rounds
-    and statuses under the same seeds and adversary specs (its in-flight
-    values are rank levels rather than ranks).
+    The engine backend picks the program: the array-native
+    :class:`_KPPBatch` under ``"fast"``, the scalar :class:`_KPPNode`
+    twins under ``"reference"`` — identical messages, rounds and statuses
+    under the same seeds and adversary specs (the port's in-flight values
+    are rank levels rather than ranks).  ``node_api="batch"``/``"scalar"``
+    pins one of them.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 nodes, got {n}")

@@ -21,9 +21,8 @@ from repro.network.batch import (
     STATUS_NON_ELECTED,
     BatchProtocol,
     MessageBatch,
-    wants_batch_dispatch,
 )
-from repro.network.engine import SynchronousEngine
+from repro.network.engine import SynchronousEngine, wants_batch_dispatch
 from repro.network.kernels import get_kernels
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
@@ -156,7 +155,7 @@ def classical_le_diameter2(
     topology: Topology,
     rng: RandomSource,
     adversary=None,
-    node_api: str = "scalar",
+    node_api: str | None = None,
 ) -> LeaderElectionResult:
     """Run the classical Õ(n) LE baseline on a diameter-≤2 network.
 
@@ -166,11 +165,12 @@ def classical_le_diameter2(
 
     ``adversary`` is an optional
     :class:`~repro.adversary.AdversarySpec` applied at the engine level.
-    ``node_api`` selects the engine dispatch: ``"scalar"`` steps
-    :class:`_CPRNode` instances, ``"batch"`` (or ``"auto"``) runs the
-    array-native :class:`_CPRBatch` program — identical messages, rounds
-    and statuses under the same seeds and adversary specs (its in-flight
-    values are rank levels rather than ranks).
+    The engine backend picks the program: the array-native
+    :class:`_CPRBatch` under ``"fast"``, the scalar :class:`_CPRNode`
+    twins under ``"reference"`` — identical messages, rounds and statuses
+    under the same seeds and adversary specs (the port's in-flight values
+    are rank levels rather than ranks).  ``node_api="batch"``/``"scalar"``
+    pins one of them.
     """
     n = topology.n
     if n < 2:

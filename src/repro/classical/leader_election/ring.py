@@ -26,9 +26,8 @@ from repro.network.batch import (
     STATUS_UNDECIDED,
     BatchProtocol,
     MessageBatch,
-    wants_batch_dispatch,
 )
-from repro.network.engine import SynchronousEngine
+from repro.network.engine import SynchronousEngine, wants_batch_dispatch
 from repro.network.graphs import cycle
 from repro.network.kernels import get_kernels
 from repro.network.message import Message
@@ -209,7 +208,7 @@ class _LCRBatch(BatchProtocol):
 
 
 def lcr_ring(
-    n: int, rng: RandomSource, adversary=None, node_api: str = "scalar"
+    n: int, rng: RandomSource, adversary=None, node_api: str | None = None
 ) -> LeaderElectionResult:
     """Run Chang–Roberts on an oriented ring of n nodes.
 
@@ -218,10 +217,11 @@ def lcr_ring(
     makes the ring run out its round budget undecided — exactly the
     resilience behaviour fault sweeps measure.
 
-    ``node_api`` selects the engine dispatch: ``"scalar"`` steps the
-    legacy :class:`_LCRNode` instances one by one, ``"batch"`` (or
-    ``"auto"``) runs the array-native :class:`_LCRBatch` program — both
-    are bit-identical under the same seeds and adversary specs.
+    The engine backend picks the program: ``"fast"`` runs the
+    array-native :class:`_LCRBatch`, ``"reference"`` steps the scalar
+    :class:`_LCRNode` twins one by one — bit-identical under the same
+    seeds and adversary specs.  ``node_api="batch"``/``"scalar"`` pins
+    one of them (:func:`~repro.network.engine.wants_batch_dispatch`).
     """
     if n < 3:
         raise ValueError(f"ring needs n >= 3 nodes, got {n}")
@@ -560,16 +560,15 @@ class _HSBatch(BatchProtocol):
 
 
 def hirschberg_sinclair_ring(
-    n: int, rng: RandomSource, adversary=None, node_api: str = "scalar"
+    n: int, rng: RandomSource, adversary=None, node_api: str | None = None
 ) -> LeaderElectionResult:
     """Run Hirschberg–Sinclair on an oriented ring of n nodes.
 
     ``adversary`` injects engine-level faults, as in :func:`lcr_ring`.
 
-    ``node_api`` selects the engine dispatch: ``"scalar"`` steps
-    :class:`_HSNode` instances one by one, ``"batch"`` (or ``"auto"``)
-    runs the array-native :class:`_HSBatch` program — bit-identical
-    under the same seeds and adversary specs.
+    The engine backend picks the program, as in :func:`lcr_ring`: the
+    array-native :class:`_HSBatch` under ``"fast"``, the scalar
+    :class:`_HSNode` twins under ``"reference"``.
     """
     if n < 3:
         raise ValueError(f"ring needs n >= 3 nodes, got {n}")

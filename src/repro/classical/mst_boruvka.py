@@ -10,7 +10,7 @@ Two comparators for QuantumMST live here:
   over every (node, port) pair.
 * :func:`boruvka_mst_engine` — the same algorithm actually *executed* on
   the synchronous engine, message by message, with scalar and
-  array-native (``node_api="batch"``) implementations that are
+  array-native implementations (the engine backend picks one) that are
   bit-identical under the same seeds and adversary specs.
 
 Each node finds its minimum-weight outgoing edge by probing *every* port
@@ -27,12 +27,8 @@ import numpy as np
 
 from repro.core.leader_election.clusters import ClusterState
 from repro.core.leader_election.mst import MSTResult, edge_key
-from repro.network.batch import (
-    BatchProtocol,
-    MessageBatch,
-    wants_batch_dispatch,
-)
-from repro.network.engine import SynchronousEngine
+from repro.network.batch import BatchProtocol, MessageBatch
+from repro.network.engine import SynchronousEngine, wants_batch_dispatch
 from repro.network.kernels import get_kernels
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
@@ -552,7 +548,7 @@ def boruvka_mst_engine(
     weights: dict[tuple[int, int], float],
     rng: RandomSource,
     adversary=None,
-    node_api: str = "scalar",
+    node_api: str | None = None,
 ) -> MSTResult:
     """Run Borůvka/GHS on the synchronous engine, message by message.
 
@@ -560,10 +556,10 @@ def boruvka_mst_engine(
     :class:`~repro.adversary.AdversarySpec` applied at the engine level;
     under faults the run stays deterministic (and scalar/batch
     bit-identical) but may leave the forest unfinished — exactly the
-    degradation fault sweeps measure.  ``node_api`` selects the engine
-    dispatch: ``"scalar"`` steps :class:`_BoruvkaNode` instances,
-    ``"batch"`` (or ``"auto"``) runs the array-native
-    :class:`_BoruvkaBatch` program.
+    degradation fault sweeps measure.  The engine backend picks the
+    program: the array-native :class:`_BoruvkaBatch` under ``"fast"``,
+    the scalar :class:`_BoruvkaNode` twins under ``"reference"``;
+    ``node_api="batch"``/``"scalar"`` pins one of them.
     """
     n = topology.n
     if n < 2:

@@ -34,26 +34,18 @@ Commands:
                                   versioned trace schema;
 * ``routing-demo``              — the Appendix-A superposed-send demo.
 
-``elect``, ``agree``, and ``sweep`` accept ``--node-api {auto,batch,scalar}``
-selecting the engine dispatch for protocols that declare the ``batch``
-capability: ``auto`` (the default) runs the array-native
-:class:`~repro.network.batch.BatchProtocol` implementation when one
-exists, ``scalar`` forces the legacy per-node path, and ``batch``
-requires the array-native path (an error for scalar-only protocols).
-Both paths are bit-identical under the same seeds and adversary specs.
-``elect``, ``sweep``, and ``profile`` also accept ``--engine
-fast|reference``: ``fast`` runs either program on the engine's array
-dispatch core, ``reference`` runs the one-message-at-a-time oracle loop,
-which steps scalar node lists only (``auto`` then resolves to
-``scalar``; an explicit ``batch`` is an error).
-
-The same three commands accept ``--kernel {auto,numba,numpy}`` (env
-``REPRO_KERNEL``) selecting the compiled-kernel tier behind the batch
-engine's PortTable gathers: ``auto`` uses numba when importable, ``numpy``
-is the always-available bit-identical fallback, and an explicit ``numba``
-errors out when numba is missing rather than silently degrading.  The
-kernel tier never changes results, so it is deliberately excluded from
-result-cache keys.
+``elect``, ``sweep``, and ``profile`` accept ``--engine fast|reference``
+(env ``REPRO_ENGINE``), and the backend picks the node program: ``fast``
+runs each protocol's array-native
+:class:`~repro.network.batch.BatchProtocol` port on the engine's array
+dispatch core, ``reference`` runs its scalar twin on the
+one-message-at-a-time oracle loop.  ``elect``, ``agree``, and ``sweep``
+accept ``--kernel {auto,numba,numpy}`` (env ``REPRO_KERNEL``) selecting
+the compiled-kernel tier behind the fast core's PortTable gathers:
+``auto`` uses numba when importable, ``numpy`` is the always-available
+fallback, and an explicit ``numba`` errors out when numba is missing
+rather than silently degrading.  Neither the backend nor the kernel tier
+ever changes a result, so neither is part of a result-cache key.
 
 ``sweep`` additionally accepts ``--fabric DIR --workers N``: instead of
 the in-process pool, the grid is laid out as shards in a work-queue
@@ -100,26 +92,14 @@ from repro.analysis.experiments import EXPERIMENTS, get_experiment
 __all__ = ["build_parser", "main"]
 
 
-def _apply_engine(args) -> None:
-    """Select the engine backend process-wide (workers inherit the env).
-
-    The reference oracle steps scalar node lists only, so under it
-    ``--node-api auto`` becomes ``scalar``.  The value is written back
-    into ``args`` and from there into the scenario, so store keys and
-    fabric workers name the path that actually ran.  Raises ValueError
-    for ``--node-api batch`` under the reference backend.
-    """
+def _apply_engine(args) -> str:
+    """Select the engine backend process-wide (workers inherit the env);
+    returns it."""
     from repro.network.engine import default_backend
 
     engine = getattr(args, "engine", None) or default_backend()
-    if engine == "reference":
-        if args.node_api == "batch":
-            raise ValueError(
-                "the reference engine runs scalar node lists only; "
-                "--node-api batch needs --engine fast"
-            )
-        args.node_api = "scalar"
     os.environ["REPRO_ENGINE"] = engine
+    return engine
 
 
 def _apply_kernel(kernel: str | None) -> str:
@@ -187,22 +167,10 @@ def _add_engine_flag(parser) -> None:
         choices=("fast", "reference"),
         default=None,
         help="engine backend: 'fast' (default, or the REPRO_ENGINE env "
-        "var) runs every program on the array dispatch core; "
-        "'reference' runs the one-message-at-a-time oracle loop on the "
-        "scalar implementation (--node-api auto becomes scalar; batch is "
-        "an error) and records no per-phase profile; both are "
-        "trace-equivalent",
-    )
-
-
-def _add_node_api_flag(parser) -> None:
-    parser.add_argument(
-        "--node-api",
-        choices=("auto", "batch", "scalar"),
-        default="auto",
-        help="engine dispatch for batch-capable protocols: array-native "
-        "'batch', legacy per-node 'scalar', or 'auto' (batch when "
-        "available; both are bit-identical)",
+        "var) runs the array-native protocol ports on the array dispatch "
+        "core; 'reference' runs their scalar twins on the "
+        "one-message-at-a-time oracle loop and records no per-phase "
+        "profile; both give the same results",
     )
 
 
@@ -341,13 +309,14 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_elect_single(args) -> int:
+def _cmd_elect_single(args, engine: str, kernel: str) -> int:
     """Single-protocol elect: any registered protocol on any family.
 
     The million-node path: ``repro elect le-ring/lcr --topology cycle
     -n 1000000 --kernel auto`` runs one protocol without the paired
     quantum/classical comparison (and without materializing edges on
-    arithmetic port-table families).
+    arithmetic port-table families).  ``engine`` and ``kernel`` are the
+    resolved backend and kernel tier, printed with the result.
     """
     from repro.runtime import TopologySpec, default_registry
     from repro.runtime.scenario import TOPOLOGY_FAMILIES
@@ -368,31 +337,15 @@ def _cmd_elect_single(args) -> int:
         )
         return 2
 
-    params: dict = {}
     try:
         adversary = _adversary_from_args(args)
+        if adversary is not None and adversary.is_null:
+            adversary = None
+        spec.check_adversary(adversary)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    if adversary is not None and adversary.is_null:
-        adversary = None
-    if adversary is not None:
-        missing = adversary.required_capabilities() - set(spec.supports)
-        if missing:
-            print(
-                f"protocol {spec.name!r} does not support adversary "
-                f"capabilities {sorted(missing)}",
-                file=sys.stderr,
-            )
-            return 2
-        params["adversary"] = adversary
-    try:
-        resolved_api = spec.resolve_node_api(args.node_api)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    if "batch" in spec.supports:
-        params["node_api"] = resolved_api
+    params = {} if adversary is None else {"adversary": adversary}
 
     rng = RandomSource(args.seed)
     topo_spec = TopologySpec(family)
@@ -401,11 +354,9 @@ def _cmd_elect_single(args) -> int:
     else:
         topology = topo_spec.build(args.n)
     outcome = spec.run(topology, rng.spawn(), **params)
-    kernel = os.environ.get("REPRO_KERNEL", "auto")
-    print(
-        f"{spec.name} on {family}, n={topology.n} "
-        f"(node-api {resolved_api}, kernel {kernel})"
-    )
+    # The reference oracle loop uses no kernel tier.
+    run_note = f"engine {engine}" + (f", kernel {kernel}" if engine == "fast" else "")
+    print(f"{spec.name} on {family}, n={topology.n} ({run_note})")
     detail = " ".join(
         f"{key}={value}" for key, value in sorted(outcome.detail.items())
     )
@@ -422,13 +373,13 @@ def _cmd_elect(args) -> int:
 
     _apply_telemetry(args)
     try:
-        _apply_engine(args)
-        _apply_kernel(args.kernel)
+        engine = _apply_engine(args)
+        kernel = _apply_kernel(args.kernel)
     except (RuntimeError, ValueError) as error:
         print(error, file=sys.stderr)
         return 2
     if args.protocol is not None:
-        return _cmd_elect_single(args)
+        return _cmd_elect_single(args, engine, kernel)
     if args.topology is not None and args.topology not in ELECT_SETUPS:
         print(
             f"paired elect does not support --topology {args.topology!r}: "
@@ -448,36 +399,19 @@ def _cmd_elect(args) -> int:
 
     try:
         adversary = _adversary_from_args(args)
+        if adversary is not None and adversary.is_null:
+            adversary = None  # elect has no catalogue adversary to strip
+        registry.get(classical_name).check_adversary(adversary)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    if adversary is not None and adversary.is_null:
-        adversary = None  # elect has no catalogue adversary to strip
     if adversary is not None:
-        classical_spec = registry.get(classical_name)
-        missing = adversary.required_capabilities() - set(classical_spec.supports)
-        if missing:
-            print(
-                f"protocol {classical_name!r} does not support adversary "
-                f"capabilities {sorted(missing)}",
-                file=sys.stderr,
-            )
-            return 2
         classical_params["adversary"] = adversary
         print(
             f"adversary [{adversary.describe()}] armed on the engine-driven "
             f"classical side (the quantum protocol runs fault-free)",
             file=sys.stderr,
         )
-
-    classical_spec = registry.get(classical_name)
-    try:
-        resolved_api = classical_spec.resolve_node_api(args.node_api)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    if "batch" in classical_spec.supports:
-        classical_params["node_api"] = resolved_api
 
     spec = TopologySpec(family, topo_params)
     if spec.consumes_trial_rng:
@@ -517,7 +451,7 @@ def _cmd_agree(args) -> int:
 
     _apply_telemetry(args)
     try:
-        _apply_engine(args)
+        engine = _apply_engine(args)
         _apply_kernel(args.kernel)
     except (RuntimeError, ValueError) as error:
         print(error, file=sys.stderr)
@@ -536,16 +470,7 @@ def _cmd_agree(args) -> int:
             # AMP18 row (the analytic rows exchange no real messages).
             engine_caps = adversary.required_capabilities() - {"inputs"}
             if engine_caps:
-                engine_supports = set(
-                    registry.get("agreement/amp18-engine").supports
-                )
-                missing = engine_caps - engine_supports
-                if missing:
-                    raise ValueError(
-                        f"agreement/amp18-engine does not support adversary "
-                        f"capabilities {sorted(missing)} "
-                        f"(supports: {sorted(engine_supports)})"
-                    )
+                registry.get("agreement/amp18-engine").check_adversary(adversary)
                 if args.n < 3:
                     raise ValueError(
                         f"adversary capabilities {sorted(engine_caps)} arm "
@@ -581,18 +506,17 @@ def _cmd_agree(args) -> int:
         topology, rng.spawn(), **side_params
     )
     # Third row: the engine-driven AMP18 realization (real CONGEST
-    # messages), dispatched through the requested node API.  It needs a
-    # ring of successors to inform, so the degenerate K_2 (which the
-    # analytical rows accept) simply omits the row.
+    # messages) on the selected backend.  It needs a ring of successors
+    # to inform, so the degenerate K_2 (which the analytical rows
+    # accept) simply omits the row.
     rows = [("quantum  ", quantum), ("classical", classical)]
     if args.n >= 3:
         engine_spec = registry.get("agreement/amp18-engine")
         engine_params = dict(side_params)
         if adversary is not None:
             engine_params["adversary"] = adversary
-        engine_params["node_api"] = engine_spec.resolve_node_api(args.node_api)
         engine_side = engine_spec.run(topology, rng.spawn(), **engine_params)
-        rows.append((f"engine[{engine_params['node_api']}]", engine_side))
+        rows.append((f"engine[{engine}]", engine_side))
     ones = int(args.fraction * args.n)
     suffix = f", adversary [{adversary.describe()}]" if adversary is not None else ""
     print(f"implicit agreement on K_{args.n} ({ones} benign ones{suffix})")
@@ -669,13 +593,9 @@ def _cmd_sweep(args) -> int:
     except (RuntimeError, ValueError) as error:
         print(error, file=sys.stderr)
         return 2
-    if args.no_cache:
-        # Disable both caches: the on-disk result store and the per-worker
-        # topology memo (workers read the env).
-        os.environ["REPRO_NO_TOPOLOGY_CACHE"] = "1"
-        store = None
-    else:
-        store = ResultStore()
+    # --no-cache skips the result store only: the per-worker topology
+    # memo (and the τ and P memos on each graph) never changes a result.
+    store = None if args.no_cache else ResultStore()
     overrides = dict(sizes=sizes, trials=args.trials, store=store)
     jobs = args.jobs
     if args.fabric is not None:
@@ -695,39 +615,6 @@ def _cmd_sweep(args) -> int:
         except KeyError as error:
             print(error, file=sys.stderr)
             return 2
-        if args.node_api != "auto":
-            # Like adversary arming: an explicit batch request applies to
-            # the sides that have an array-native implementation; scalar
-            # applies everywhere.
-            from repro.runtime import default_registry
-
-            registry = default_registry()
-            sides = {"quantum": quantum_scenario, "classical": classical_scenario}
-            skipped = []
-            for label, side_scenario in sides.items():
-                supports = registry.get(side_scenario.protocol).supports
-                if args.node_api == "batch" and "batch" not in supports:
-                    skipped.append(label)
-                else:
-                    sides[label] = side_scenario.with_overrides(
-                        node_api=args.node_api
-                    )
-            if args.node_api == "batch" and len(skipped) == 2:
-                print(
-                    f"neither side of {args.experiment} has an array-native "
-                    f"implementation (--node-api batch)",
-                    file=sys.stderr,
-                )
-                return 2
-            if skipped:
-                print(
-                    f"--node-api batch applies to the "
-                    f"{' and '.join(sorted(set(sides) - set(skipped)))} side "
-                    f"only ({' and '.join(skipped)} stays scalar)",
-                    file=sys.stderr,
-                )
-            quantum_scenario = sides["quantum"]
-            classical_scenario = sides["classical"]
         if adversary is not None and adversary.is_null:
             # Explicit fault-free baseline: strip any catalogue adversary.
             quantum_scenario = quantum_scenario.with_overrides(adversary=None)
@@ -743,12 +630,13 @@ def _cmd_sweep(args) -> int:
             unarmed_sides = []
             sides = {"quantum": quantum_scenario, "classical": classical_scenario}
             for label, side_scenario in sides.items():
-                supports = set(registry.get(side_scenario.protocol).supports)
-                if adversary.required_capabilities() <= supports:
-                    sides[label] = side_scenario.with_overrides(adversary=adversary)
-                    armed_sides.append(label)
-                else:
+                try:
+                    registry.get(side_scenario.protocol).check_adversary(adversary)
+                except ValueError:
                     unarmed_sides.append(label)
+                    continue
+                sides[label] = side_scenario.with_overrides(adversary=adversary)
+                armed_sides.append(label)
             if not armed_sides:
                 print(
                     f"neither side of {args.experiment} supports adversary "
@@ -814,8 +702,6 @@ def _cmd_sweep(args) -> int:
         return 2
     if adversary is not None:
         scenario = scenario.with_overrides(adversary=adversary)
-    if args.node_api != "auto":
-        scenario = scenario.with_overrides(node_api=args.node_api)
     if args.fabric is not None:
         overrides["fabric_dir"] = args.fabric
     try:
@@ -839,18 +725,13 @@ def _cmd_sweep(args) -> int:
         if scenario.adversary is not None
         else ""
     )
-    api_note = (
-        f", node-api {scenario.resolved_node_api}"
-        if scenario.resolved_node_api != "scalar"
-        else ""
-    )
     print(
         render_table(
             ["n", "msgs mean", "p50", "p90", "rounds", "success"],
             rows,
             title=f"{scenario.name} ({scenario.protocol} on "
             f"{scenario.topology.family}, {run.trial_sets[0].trials} "
-            f"trials/size{adversary_note}{api_note})",
+            f"trials/size{adversary_note})",
         )
     )
     if len(run.sizes) >= 2:
@@ -1193,8 +1074,6 @@ def _cmd_profile(args) -> int:
     except (KeyError, ValueError) as error:
         print(error, file=sys.stderr)
         return 2
-    if args.node_api != "auto":
-        scenario = scenario.with_overrides(node_api=args.node_api)
     try:
         # store=None: a cache hit executes nothing, which would profile
         # nothing — the profile command always computes.
@@ -1307,7 +1186,6 @@ def build_parser() -> argparse.ArgumentParser:
     elect.add_argument("-n", "--n", type=int, default=1024)
     elect.add_argument("--seed", type=int, default=0)
     _add_engine_flag(elect)
-    _add_node_api_flag(elect)
     _add_kernel_flag(elect)
     _add_adversary_flags(elect)
     _add_telemetry_flags(elect)
@@ -1317,7 +1195,6 @@ def build_parser() -> argparse.ArgumentParser:
     agree.add_argument("--n", type=int, default=4096)
     agree.add_argument("--fraction", type=float, default=0.3)
     agree.add_argument("--seed", type=int, default=0)
-    _add_node_api_flag(agree)
     _add_kernel_flag(agree)
     _add_adversary_flags(agree)
     _add_telemetry_flags(agree)
@@ -1349,8 +1226,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--no-cache",
         action="store_true",
-        help="skip the on-disk result cache and the per-worker topology "
-        "memo; every trial recomputes from scratch",
+        help="skip the on-disk result cache: every size recomputes (the "
+        "per-worker topology memo stays on; it never changes a result)",
     )
     sweep.add_argument(
         "--fabric",
@@ -1381,7 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker index W after T executed trials (default 1); the sweep "
         "must still resume to completion",
     )
-    _add_node_api_flag(sweep)
     _add_kernel_flag(sweep)
     _add_adversary_flags(sweep)
     _add_telemetry_flags(sweep)
@@ -1544,8 +1420,8 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable catalogue dump (adversary specs, node-api, "
-        "grids) for tooling and CI",
+        help="machine-readable catalogue dump (adversary specs, grids) "
+        "for tooling and CI",
     )
     scenarios.set_defaults(handler=_cmd_scenarios)
 
@@ -1584,7 +1460,6 @@ def build_parser() -> argparse.ArgumentParser:
         "phase deltas are merged into the report)",
     )
     _add_engine_flag(profile)
-    _add_node_api_flag(profile)
     _add_kernel_flag(profile)
     profile.add_argument(
         "--trace",

@@ -29,7 +29,9 @@ __all__ = [
 
 #: Bump when the wire layout changes; workers refuse unknown versions
 #: instead of guessing (a fleet must never run a sweep it misparsed).
-SERIAL_VERSION = 1
+#: v2: the scenario no longer carries a node API (the engine backend
+#: picks the program).
+SERIAL_VERSION = 2
 
 _SCALAR = (int, float, str, bool, type(None))
 
@@ -69,7 +71,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             if scenario.adversary is not None
             else None
         ),
-        "node_api": scenario.node_api,
         "description": scenario.description,
     }
 
@@ -122,7 +123,6 @@ def scenario_from_dict(payload: dict) -> Scenario:
         seed=payload["seed"],
         normalize_by=payload["normalize_by"],
         adversary=adversary_from_dict(payload["adversary"]),
-        node_api=payload["node_api"],
         description=payload["description"],
     )
 

@@ -42,9 +42,9 @@ as the oracle; see :meth:`~repro.network.node.Node.halt`).
 a list of :class:`~repro.network.node.Node` instances behind the
 ``step_batch`` contract (arrays → tuples → ``step`` → tuples → arrays).
 The engine wraps every node list in one, so scalar and array-native
-programs share one dispatch core.  The registry's ``--node-api batch``
-remains an explicit request for an array-native port and is rejected
-for protocols without one (``auto``/``scalar`` pick the node list there).
+programs share one dispatch core.  Which of a protocol's two programs
+runs follows the engine backend
+(:func:`~repro.network.engine.wants_batch_dispatch`).
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ __all__ = [
     "STATUS_ELECTED",
     "STATUS_NON_ELECTED",
     "STATUS_UNDECIDED",
-    "wants_batch_dispatch",
 ]
 
 #: Integer codes for the leader-election ``status`` variable in SoA state.
@@ -82,25 +81,6 @@ STATUS_CODES: dict[int, Status] = {
 
 #: Status enum → integer code (inverse of :data:`STATUS_CODES`).
 _STATUS_TO_CODE = {status: code for code, status in STATUS_CODES.items()}
-
-
-def wants_batch_dispatch(node_api: str) -> bool:
-    """True when a ``node_api`` request selects the array-native path.
-
-    The shared triage every dual-implementation protocol driver uses:
-    ``"batch"``/``"auto"`` pick the :class:`BatchProtocol` program,
-    ``"scalar"`` the legacy node list, anything else is an error.
-    (Registry consumers resolve ``"auto"`` against capability tags first
-    — :meth:`repro.runtime.registry.ProtocolSpec.resolve_node_api` — so
-    here ``"auto"`` only ever reaches a protocol that has a port.)
-    """
-    if node_api in ("batch", "auto"):
-        return True
-    if node_api == "scalar":
-        return False
-    raise ValueError(
-        f"node_api must be 'auto', 'batch', or 'scalar', got {node_api!r}"
-    )
 
 
 def _as_i64(values) -> np.ndarray:

@@ -20,9 +20,15 @@ the ``backend`` knob:
   :class:`~repro.network.batch.ScalarAdapter` at construction;
 * ``"reference"`` is the original one-message-at-a-time Python loop over a
   node list, kept as the differential-testing oracle.  It runs scalar
-  node lists only: the oracle for an array-native protocol is its scalar
-  implementation (``node_api="scalar"``), so a native ``BatchProtocol``
-  under ``"reference"`` is rejected at construction.
+  node lists only, so a native ``BatchProtocol`` under ``"reference"``
+  is rejected at construction.
+
+The backend also picks the node program, in one place
+(:func:`wants_batch_dispatch`): a protocol driver with an array-native
+port runs the port under ``"fast"`` and its scalar twin under
+``"reference"``.  The parity suites prove each port sends exactly the
+messages of its twin, so the backend never changes a result, and
+neither does the kernel tier.
 
 Both paths are trace-equivalent by construction — same delivery order,
 same metrics charges, same RNG consumption — which the test suite asserts
@@ -81,6 +87,7 @@ __all__ = [
     "CongestViolation",
     "SynchronousEngine",
     "default_backend",
+    "wants_batch_dispatch",
 ]
 
 #: Engine backends selectable via ``SynchronousEngine(backend=...)``.
@@ -95,6 +102,26 @@ def default_backend() -> str:
             f"REPRO_ENGINE must be one of {BACKENDS}, got {backend!r}"
         )
     return backend
+
+
+def wants_batch_dispatch(node_api: str | None = None) -> bool:
+    """True when a protocol driver should build its array-native port.
+
+    ``None`` (every driver's default) derives the program from the
+    backend: the port under ``"fast"``, the scalar twin under
+    ``"reference"``, whose oracle loop steps node lists only.  An
+    explicit ``"batch"`` or ``"scalar"`` pins one program; the parity
+    suites and the dispatch benchmarks use it to run both twins.
+    """
+    if node_api is None:
+        return default_backend() == "fast"
+    if node_api == "batch":
+        return True
+    if node_api == "scalar":
+        return False
+    raise ValueError(
+        f"node_api must be None, 'batch', or 'scalar', got {node_api!r}"
+    )
 
 
 class CongestViolation(RuntimeError):
@@ -148,8 +175,8 @@ class SynchronousEngine:
     instances, which the engine wraps in a
     :class:`~repro.network.batch.ScalarAdapter`, or one
     :class:`~repro.network.batch.BatchProtocol`.  Prefer building runs
-    through the protocol registry (:mod:`repro.runtime`), which owns the
-    node-API selection (``--node-api``).
+    through the protocol drivers, which pick the program for the backend
+    (:func:`wants_batch_dispatch`).
     """
 
     def __init__(
@@ -182,9 +209,10 @@ class SynchronousEngine:
         if backend == "reference" and not isinstance(program, ScalarAdapter):
             raise ValueError(
                 f"backend='reference' steps scalar Node lists only, not the "
-                f"array-native {type(program).__name__}; the differential "
-                f"oracle for a batch protocol is its scalar implementation — "
-                f"select it with node_api='scalar' (CLI: --node-api scalar)"
+                f"array-native {type(program).__name__}: under the reference "
+                f"backend a protocol driver runs its scalar twin on the "
+                f"oracle loop (leave node_api unset, or pass "
+                f"node_api='scalar')"
             )
         #: The program the engine steps; node lists arrive here wrapped.
         self.program: BatchProtocol = program

@@ -46,7 +46,6 @@ from repro.runtime.scenario import (
     TopologySpec,
     clear_topology_memo,
     topology_family,
-    topology_memo_enabled,
 )
 from repro.runtime.store import DEFAULT_CACHE_DIR, ResultStore
 
@@ -75,5 +74,4 @@ __all__ = [
     "resolve_jobs",
     "run_scenario",
     "topology_family",
-    "topology_memo_enabled",
 ]

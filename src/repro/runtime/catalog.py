@@ -276,7 +276,7 @@ def _catalogue() -> dict[str, Scenario]:
             params=(("fraction", 0.3),),
             trials=3,
             seed=190,
-            description="Engine-driven AMP18 agreement on K_n (batch node API)",
+            description="Engine-driven AMP18 agreement on K_n (array-native port)",
         ),
         Scenario(
             name="agreement-engine-lossy/classical",

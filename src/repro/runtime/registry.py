@@ -75,11 +75,12 @@ class ProtocolSpec:
     #: runs on a :class:`~repro.network.engine.SynchronousEngine` path
     #: that feeds traffic-conditioned adversaries the per-round
     #: observation callback), and "batch" (an array-native
-    #: :class:`~repro.network.batch.BatchProtocol` implementation
-    #: selectable via a ``node_api=`` kwarg).  A scenario whose
+    #: :class:`~repro.network.batch.BatchProtocol` port, which runs under
+    #: the ``fast`` engine backend while ``reference`` runs its scalar
+    #: twin on the oracle loop; the two send the same messages, so the
+    #: tag never changes a result).  A scenario whose
     #: :class:`~repro.adversary.AdversarySpec` needs capabilities outside
-    #: this set — or that requests the batch node API without the tag —
-    #: is rejected before the trial runs.
+    #: this set is rejected before the trial runs (:meth:`check_adversary`).
     supports: tuple[str, ...] = ()
 
     def run(self, topology: Topology, rng: RandomSource, **params) -> TrialOutcome:
@@ -88,28 +89,18 @@ class ProtocolSpec:
         merged.update(params)
         return self.builder(topology, rng, **merged)
 
-    def resolve_node_api(self, requested: str = "auto") -> str:
-        """Concretize a ``--node-api`` request against this spec.
-
-        ``"auto"`` picks the array-native path when the protocol declares
-        the ``"batch"`` capability and the scalar path otherwise; an
-        explicit ``"batch"`` on a scalar-only protocol is an error (the
-        same convention as unsupported adversary capabilities).
-        """
-        if requested not in ("auto", "batch", "scalar"):
+    def check_adversary(self, adversary) -> None:
+        """Raise ValueError when ``adversary`` needs a capability this
+        protocol lacks; None (no adversary) always passes."""
+        if adversary is None:
+            return
+        missing = adversary.required_capabilities() - set(self.supports)
+        if missing:
             raise ValueError(
-                f"node_api must be 'auto', 'batch', or 'scalar', got "
-                f"{requested!r}"
+                f"protocol {self.name!r} does not support adversary "
+                f"capabilities {sorted(missing)} "
+                f"(supports: {sorted(self.supports) or 'none'})"
             )
-        if requested == "auto":
-            return "batch" if "batch" in self.supports else "scalar"
-        if requested == "batch" and "batch" not in self.supports:
-            raise ValueError(
-                f"protocol {self.name!r} has no array-native implementation "
-                f"(supports: {sorted(self.supports) or 'none'}); "
-                f"use --node-api auto or scalar"
-            )
-        return requested
 
     def describe_dict(self) -> dict:
         """JSON-ready description for ``repro protocols --json``."""
@@ -341,22 +332,16 @@ def _run_classical_le_general(topology, rng, **params) -> TrialOutcome:
     return _from_le(classical_le_general(topology, rng, **params))
 
 
-def _run_lcr_ring(topology, rng, adversary=None, node_api="scalar") -> TrialOutcome:
+def _run_lcr_ring(topology, rng, adversary=None) -> TrialOutcome:
     from repro.classical.leader_election.ring import lcr_ring
 
-    return _from_le(
-        lcr_ring(topology.n, rng, adversary=adversary, node_api=node_api)
-    )
+    return _from_le(lcr_ring(topology.n, rng, adversary=adversary))
 
 
-def _run_hs_ring(topology, rng, adversary=None, node_api="scalar") -> TrialOutcome:
+def _run_hs_ring(topology, rng, adversary=None) -> TrialOutcome:
     from repro.classical.leader_election.ring import hirschberg_sinclair_ring
 
-    return _from_le(
-        hirschberg_sinclair_ring(
-            topology.n, rng, adversary=adversary, node_api=node_api
-        )
-    )
+    return _from_le(hirschberg_sinclair_ring(topology.n, rng, adversary=adversary))
 
 
 def _run_quantum_agreement(
@@ -378,8 +363,7 @@ def _run_classical_agreement_shared(
 
 
 def _run_classical_agreement_engine(
-    topology, rng, fraction: float = 0.3, adversary=None, node_api="scalar",
-    **params,
+    topology, rng, fraction: float = 0.3, adversary=None, **params
 ) -> TrialOutcome:
     from repro.classical.agreement.amp18_engine import classical_agreement_engine
 
@@ -387,9 +371,7 @@ def _run_classical_agreement_engine(
         topology.n, fraction, adversary, rng, engine_capable=True
     )
     return _from_agreement(
-        classical_agreement_engine(
-            inputs, rng, adversary=adversary, node_api=node_api, **params
-        )
+        classical_agreement_engine(inputs, rng, adversary=adversary, **params)
     )
 
 
@@ -416,17 +398,12 @@ def _run_classical_mst(topology, rng) -> TrialOutcome:
     return _from_mst(classical_mst(topology, weights, rng.spawn()))
 
 
-def _run_boruvka_engine(
-    topology, rng, adversary=None, node_api="scalar"
-) -> TrialOutcome:
+def _run_boruvka_engine(topology, rng, adversary=None) -> TrialOutcome:
     from repro.classical.mst_boruvka import boruvka_mst_engine
 
     weights = _random_weights(topology, rng.spawn())
     return _from_mst(
-        boruvka_mst_engine(
-            topology, weights, rng.spawn(), adversary=adversary,
-            node_api=node_api,
-        )
+        boruvka_mst_engine(topology, weights, rng.spawn(), adversary=adversary)
     )
 
 

@@ -22,7 +22,6 @@ Topology families come in three flavours:
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -37,7 +36,6 @@ __all__ = [
     "TopologySpec",
     "clear_topology_memo",
     "topology_family",
-    "topology_memo_enabled",
 ]
 
 
@@ -164,11 +162,6 @@ _TOPOLOGY_MEMO: dict[tuple, Topology] = {}
 _TOPOLOGY_MEMO_MAX = 64
 
 
-def topology_memo_enabled() -> bool:
-    """False when ``REPRO_NO_TOPOLOGY_CACHE`` is set (CLI ``--no-cache``)."""
-    return os.environ.get("REPRO_NO_TOPOLOGY_CACHE", "") not in ("1", "true", "yes")
-
-
 def clear_topology_memo() -> None:
     """Drop every memoized topology in this process (tests, memory pressure)."""
     _TOPOLOGY_MEMO.clear()
@@ -221,8 +214,6 @@ class TopologySpec:
                 f"topology family {self.family!r} draws per-trial graphs and "
                 f"cannot be memoized (set fixed_seed to share one graph)"
             )
-        if not topology_memo_enabled():
-            return self.build(n)
         key = (self.family, self.params, self.fixed_seed, n)
         topology = _TOPOLOGY_MEMO.get(key)
         if topology is None:
@@ -255,12 +246,6 @@ class Scenario:
     #: trial.  Participates in the result-store cache key; a null spec is
     #: normalized to None so it never perturbs identity or RNG streams.
     adversary: object | None = None
-    #: Engine dispatch request: ``"auto"`` (array-native when the protocol
-    #: declares the ``"batch"`` capability, scalar otherwise), ``"batch"``
-    #: (required — rejected for scalar-only protocols), or ``"scalar"``.
-    #: The *resolved* value participates in result-store cache keys, so
-    #: scalar and batch trial sets never serve each other.
-    node_api: str = "auto"
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -270,33 +255,12 @@ class Scenario:
             raise ValueError(f"scenario {self.name!r} has sizes < 2: {self.sizes}")
         if self.trials < 1:
             raise ValueError(f"scenario {self.name!r} needs >= 1 trial")
-        if self.node_api not in ("auto", "batch", "scalar"):
-            raise ValueError(
-                f"scenario {self.name!r}: node_api must be 'auto', 'batch', "
-                f"or 'scalar', got {self.node_api!r}"
-            )
         if self.adversary is not None and self.adversary.is_null:
             object.__setattr__(self, "adversary", None)
 
     @property
     def param_dict(self) -> dict:
         return dict(self.params)
-
-    @property
-    def resolved_node_api(self) -> str:
-        """The concrete node API this scenario's trials dispatch through.
-
-        Resolves ``"auto"`` against the protocol's ``supports`` tags in
-        the default registry; unknown protocols (unit-test fixtures) fall
-        back to the raw request.
-        """
-        from repro.runtime.registry import default_registry
-
-        try:
-            spec = default_registry().get(self.protocol)
-        except KeyError:
-            return self.node_api
-        return spec.resolve_node_api(self.node_api)
 
     def with_overrides(
         self,
@@ -306,13 +270,11 @@ class Scenario:
         params: dict | None = None,
         name: str | None = None,
         adversary: object = _KEEP,
-        node_api: str | None = None,
     ) -> "Scenario":
         """A copy with grid/seed/params swapped out (bench & CLI overrides).
 
         ``adversary`` replaces the scenario's adversary spec when given
         (pass None to strip one off); omitted, the existing spec is kept.
-        ``node_api`` replaces the dispatch request when given.
         """
         merged_params = self.param_dict
         if params:
@@ -325,7 +287,6 @@ class Scenario:
             seed=seed if seed is not None else self.seed,
             params=tuple(sorted(merged_params.items())),
             adversary=self.adversary if adversary is _KEEP else adversary,
-            node_api=node_api if node_api is not None else self.node_api,
         )
 
     def run_trial(self, n: int, rng: RandomSource, registry=None):
@@ -340,21 +301,8 @@ class Scenario:
         registry = registry if registry is not None else default_registry()
         spec = registry.get(self.protocol)
         run_params = self.param_dict
-        # Resolve the node-API request up front (explicit "batch" on a
-        # scalar-only protocol is rejected here, like unsupported
-        # adversary capabilities); only batch-capable builders take the
-        # kwarg, so legacy builders stay untouched.
-        resolved_api = spec.resolve_node_api(self.node_api)
-        if "batch" in spec.supports:
-            run_params["node_api"] = resolved_api
         if self.adversary is not None:
-            missing = self.adversary.required_capabilities() - set(spec.supports)
-            if missing:
-                raise ValueError(
-                    f"scenario {self.name!r}: protocol {self.protocol!r} does "
-                    f"not support adversary capabilities {sorted(missing)} "
-                    f"(supports: {sorted(spec.supports) or 'none'})"
-                )
+            spec.check_adversary(self.adversary)
             run_params["adversary"] = self.adversary
         if self.topology.consumes_trial_rng:
             topology = self.topology.build(n, rng.spawn())

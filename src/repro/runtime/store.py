@@ -12,11 +12,10 @@ always exact: ``repro sweep`` re-run with the same scenario skips straight
 to aggregation, and appending sizes to the grid only computes the new
 ones.
 
-Engine backend and job count are deliberately *not* part of the key: both
-are required (and tested) to leave aggregates bit-identical.  The
-*resolved* node API ("batch"/"scalar") **is** part of the key (format v3)
-even though the two are parity-tested too — an entry should always be
-reproducible under the dispatch path its key names.
+Engine backend, kernel tier and job count are deliberately *not* part of
+the key: all three are required (and tested) to leave aggregates
+bit-identical.  So a ``fast`` run (the array-native ports) and a
+``reference`` run (their scalar twins on the oracle loop) share entries.
 
 Long-lived processes (``repro serve``) can additionally enable an
 in-process **memory tier** (``memory_entries=N`` or
@@ -76,7 +75,10 @@ DEFAULT_CACHE_MAX_ENTRIES = 4096
 #: v6: the mixing-time LE drivers (QuantumRWLE and the classical
 #: random-walk LE) walk every token of a trial as one column from one child
 #: stream, so their trial sets changed for a fixed seed.
-_FORMAT_VERSION = 6
+#: v7: the identity drops the node API.  The engine backend picks the
+#: program (port or scalar twin), and the two send the same messages, so
+#: fast and reference runs share one entry.
+_FORMAT_VERSION = 7
 
 
 def _default_root() -> pathlib.Path:
@@ -168,7 +170,6 @@ class ResultStore:
                 if scenario.adversary is not None
                 else None
             ),
-            "node_api": scenario.resolved_node_api,
             "seed": scenario.seed,
             "trials": scenario.trials,
             "n": n,

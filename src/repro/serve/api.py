@@ -10,11 +10,10 @@ catalogue scenario or carry a full serialized scenario (the
 :mod:`repro.fabric.serialize` shape that fabric manifests use), plus a
 small override block; either way the resolved scenario must pass the
 same checks a worker would apply — known protocol, an adversary the
-protocol's capability tags support, a resolvable node API, and
-fabric-serializable params — before it is allowed anywhere near the
-cache or the job table.  Failures raise :class:`ApiError`, which maps
-to a structured ``{"error": {"code", "message"}}`` body, never a bare
-500.
+protocol's capability tags support, and fabric-serializable params —
+before it is allowed anywhere near the cache or the job table.
+Failures raise :class:`ApiError`, which maps to a structured
+``{"error": {"code", "message"}}`` body, never a bare 500.
 """
 
 from __future__ import annotations
@@ -74,8 +73,6 @@ def scenario_entry(scenario: Scenario) -> dict:
         "adversary": (
             scenario.adversary.key_dict() if scenario.adversary else None
         ),
-        "node_api": scenario.node_api,
-        "resolved_node_api": scenario.resolved_node_api,
         "kernel": resolve_kernel(),
         "description": scenario.description,
     }
@@ -101,9 +98,7 @@ def protocols_payload() -> list[dict]:
 
 # -- run requests --------------------------------------------------------------
 
-_OVERRIDE_KEYS = frozenset(
-    {"sizes", "trials", "seed", "node_api", "adversary", "name"}
-)
+_OVERRIDE_KEYS = frozenset({"sizes", "trials", "seed", "adversary", "name"})
 
 
 def _parse_overrides(raw: object) -> dict:
@@ -136,8 +131,6 @@ def _parse_overrides(raw: object) -> dict:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ApiError("bad_overrides", f"{key!r} must be an int")
             kwargs[key] = value
-    if "node_api" in raw:
-        kwargs["node_api"] = str(raw["node_api"])
     if "name" in raw:
         kwargs["name"] = str(raw["name"])
     if "adversary" in raw:
@@ -159,18 +152,10 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         spec = registry.get(scenario.protocol)
     except KeyError as exc:
         raise ApiError("unknown_protocol", str(exc)) from exc
-    if scenario.adversary is not None:
-        missing = scenario.adversary.required_capabilities() - set(spec.supports)
-        if missing:
-            raise ApiError(
-                "unsupported_adversary",
-                f"protocol {scenario.protocol!r} does not support "
-                f"{sorted(missing)} (supports: {sorted(spec.supports) or '-'})",
-            )
     try:
-        spec.resolve_node_api(scenario.node_api)
+        spec.check_adversary(scenario.adversary)
     except ValueError as exc:
-        raise ApiError("unsupported_node_api", str(exc)) from exc
+        raise ApiError("unsupported_adversary", str(exc)) from exc
     try:
         # Fabric manifests must round-trip the scenario exactly; refuse
         # up front rather than failing inside a worker process.
@@ -185,7 +170,7 @@ def parse_run_request(body: bytes | str) -> Scenario:
 
     The body is ``{"scenario": <catalogue name | serialized scenario>,
     "overrides": {...}}``; overrides accept ``sizes``, ``trials``,
-    ``seed``, ``node_api``, ``adversary`` (a spec string such as
+    ``seed``, ``adversary`` (a spec string such as
     ``"drop=0.05,crash=2"``, or null to strip one), and ``name``.
     """
     try:

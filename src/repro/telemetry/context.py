@@ -1,10 +1,10 @@
 """Process-wide telemetry context: env-driven tracer/profiler resolution.
 
 The runtime's existing configuration currency for fork/spawn workers is
-environment variables (``REPRO_ENGINE``, ``REPRO_KERNEL``,
-``REPRO_NO_TOPOLOGY_CACHE``, ...); telemetry follows the same pattern so
-pool workers and fabric workers inherit the parent's choices without
-any new plumbing through pickled task tuples:
+environment variables (``REPRO_ENGINE``, ``REPRO_KERNEL``, ...);
+telemetry follows the same pattern so pool workers and fabric workers
+inherit the parent's choices without any new plumbing through pickled
+task tuples:
 
 * ``REPRO_TRACE=/path/to/file.jsonl`` — enable JSONL tracing.  All
   processes append to the same file (O_APPEND whole-line writes).

@@ -74,10 +74,8 @@ class TestDeterminism:
         assert run.trial_sets[0].extra["fault_messages_dropped"] in dropped
 
     def test_backend_invariance_under_drops(self):
-        # Pin scalar dispatch so the reference backend genuinely runs
-        # (batch-capable protocols resolve to the backend-independent
-        # batch path under "auto"); batch parity has its own suite.
-        scenario = _lossy_scenario().with_overrides(node_api="scalar")
+        # fast runs the LCR port, reference its scalar twin on the oracle.
+        scenario = _lossy_scenario()
         runs = {}
         for backend in ("fast", "reference"):
             os.environ["REPRO_ENGINE"] = backend

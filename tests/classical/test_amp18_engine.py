@@ -93,8 +93,6 @@ class TestRegistryIntegration:
 
     def test_runs_through_the_registry(self):
         spec = default_registry().get("agreement/amp18-engine")
-        outcome = spec.run(
-            CompleteTopology(24), RandomSource(0), node_api="batch"
-        )
+        outcome = spec.run(CompleteTopology(24), RandomSource(0))
         assert outcome.rounds > 0
         assert "candidates" in outcome.extra

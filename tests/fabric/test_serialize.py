@@ -53,6 +53,15 @@ class TestRefusals:
         with pytest.raises(ValueError, match="version"):
             scenario_from_dict(payload)
 
+    def test_version_1_manifest_refused(self, make_scenario):
+        # v1 manifests carried a node_api field; v2 derives the node
+        # program from the engine backend and refuses the old layout.
+        payload = scenario_to_dict(make_scenario())
+        assert SERIAL_VERSION == 2 and "node_api" not in payload
+        payload.update(version=1, node_api="auto")
+        with pytest.raises(ValueError, match="version 1"):
+            scenario_from_dict(payload)
+
     def test_missing_version_refused(self, make_scenario):
         payload = scenario_to_dict(make_scenario())
         del payload["version"]

@@ -1,11 +1,11 @@
 """Property tests: telemetry observes, it never participates.
 
 For any engine-driven scenario configuration — fault-free or
-adversarial, on either engine backend and either node API (the
-reference backend runs the scalar one) — running
+adversarial, on either engine backend (``fast`` runs the array-native
+port where one exists, ``reference`` its scalar twin) — running
 with tracing and/or profiling enabled must leave every result artifact
 bit-identical to the bare run: the ``TrialSet`` aggregates, the
-content-addressed store keys (format v4), and the stored bytes.
+content-addressed store keys, and the stored bytes.
 Telemetry draws from wall clocks only, never from a run RNG stream.
 """
 
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from repro.runtime import ResultStore, Scenario, TopologySpec, run_scenario
 from repro.telemetry import reset_metrics, reset_telemetry, set_profiling, set_trace_path
 
-#: (protocol, topology family, adversary spec text or None).  lcr is
-#: batch-capable so node_api picks the dispatch path; hs is scalar-only.
+#: (protocol, topology family, adversary spec text or None).  The ring
+#: protocols have array-native ports, so the backend picks the program.
 CONFIGS = [
     ("le-ring/lcr", "cycle", None),
     ("le-ring/lcr", "cycle", "drop=0.05,seed=7"),
@@ -56,7 +56,7 @@ def _clean_env(**overrides):
         reset_metrics()
 
 
-def _scenario(config_index, seed, engine, node_api) -> Scenario:
+def _scenario(config_index, seed) -> Scenario:
     from repro.adversary import AdversarySpec
 
     protocol, family, spec_text = CONFIGS[config_index]
@@ -68,7 +68,6 @@ def _scenario(config_index, seed, engine, node_api) -> Scenario:
         trials=2,
         seed=seed,
         adversary=None if spec_text is None else AdversarySpec.parse(spec_text),
-        node_api=node_api,
     )
 
 
@@ -101,29 +100,26 @@ class TestTelemetryInvariance:
         config_index=st.integers(min_value=0, max_value=len(CONFIGS) - 1),
         seed=st.integers(min_value=0, max_value=2**16),
         engine=st.sampled_from(["fast", "reference"]),
-        node_api=st.sampled_from(["auto", "scalar"]),
         traced=st.booleans(),
         profiled=st.booleans(),
     )
     @settings(max_examples=12, deadline=None)
     def test_traced_run_is_bit_identical(
-        self, config_index, seed, engine, node_api, traced, profiled
+        self, config_index, seed, engine, traced, profiled
     ):
-        if engine == "reference":
-            node_api = "scalar"  # the reference oracle runs node lists only
         with _clean_env(REPRO_ENGINE=engine):
-            scenario = _scenario(config_index, seed, engine, node_api)
+            scenario = _scenario(config_index, seed)
             bare = _artifacts(scenario, engine, traced=False, profiled=False)
             telemetered = _artifacts(
                 scenario, engine, traced=traced, profiled=profiled
             )
         assert telemetered[0] == bare[0]  # aggregates, field for field
-        assert telemetered[1].keys() == bare[1].keys()  # v4 store keys
+        assert telemetered[1].keys() == bare[1].keys()  # store keys
         assert telemetered[1] == bare[1]  # stored bytes
 
     def test_profile_meta_attaches_without_touching_aggregates(self):
         with _clean_env(REPRO_ENGINE="fast"):
-            scenario = _scenario(1, seed=5, engine="fast", node_api="auto")
+            scenario = _scenario(1, seed=5)
             bare = _artifacts(scenario, "fast", traced=False, profiled=False)
             set_profiling(True)
             try:

@@ -12,7 +12,6 @@ from repro.runtime import (
     TopologySpec,
     clear_topology_memo,
     run_scenario,
-    topology_memo_enabled,
 )
 from repro.runtime.scenario import _TOPOLOGY_MEMO
 from repro.util.rng import RandomSource
@@ -64,12 +63,13 @@ class TestTopologyMemo:
         assert other.build_cached(16).n == 16
         assert len(_TOPOLOGY_MEMO) == 3
 
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_TOPOLOGY_CACHE", "1")
-        assert not topology_memo_enabled()
+    def test_clear_forces_a_rebuild(self):
         spec = TopologySpec("star")
-        assert spec.build_cached(16) is not spec.build_cached(16)
+        first = spec.build_cached(16)
+        clear_topology_memo()
         assert not _TOPOLOGY_MEMO
+        assert spec.build_cached(16) is not first
+        assert len(_TOPOLOGY_MEMO) == 1
 
     def test_memo_used_once_per_size_in_a_sweep(self, monkeypatch):
         scenario = _star_scenario()
@@ -87,7 +87,13 @@ class TestTopologyMemo:
     def test_memo_does_not_change_aggregates(self, monkeypatch):
         scenario = _star_scenario()
         warm = run_scenario(scenario, jobs=1)
-        monkeypatch.setenv("REPRO_NO_TOPOLOGY_CACHE", "1")
+        original = Scenario.run_trial
+
+        def cold_trial(self, n, rng, registry=None):
+            clear_topology_memo()  # every trial builds its own graph
+            return original(self, n, rng, registry)
+
+        monkeypatch.setattr(Scenario, "run_trial", cold_trial)
         cold = run_scenario(scenario, jobs=1)
         assert warm.trial_sets == cold.trial_sets
 

@@ -127,17 +127,19 @@ class TestParseRunRequest:
             )
         assert error.value.code == "unsupported_adversary"
 
-    def test_unsupported_node_api_rejected(self):
+    def test_node_api_override_is_unknown(self):
+        # The engine backend picks the node program; no request can.
         with pytest.raises(ApiError) as error:
             parse_run_request(
                 _body(
                     {
-                        "scenario": "star-search/classical",
-                        "overrides": {"node_api": "batch"},
+                        "scenario": "ring-le/lcr",
+                        "overrides": {"node_api": "scalar"},
                     }
                 )
             )
-        assert error.value.code == "unsupported_node_api"
+        assert error.value.code == "bad_overrides"
+        assert "node_api" in error.value.message
 
 
 class TestCataloguePayloads:

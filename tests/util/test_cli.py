@@ -110,6 +110,31 @@ class TestSweepCommand:
         assert main(["sweep", "--scenario", "le-donut/quantum"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    def test_no_cache_keeps_the_topology_memo(self, capsys, monkeypatch):
+        # --no-cache skips the result store only: every trial at a size
+        # shares one memoized hypercube, so τ is estimated once per size.
+        from repro.network import random_walk
+        from repro.runtime import clear_topology_memo
+
+        calls = []
+        original = random_walk.spectral_gap
+
+        def counting(topology):
+            calls.append(topology.n)
+            return original(topology)
+
+        clear_topology_memo()
+        monkeypatch.setattr(random_walk, "spectral_gap", counting)
+        try:
+            code = main(
+                ["sweep", "--scenario", "mixing-le/quantum", "--sizes", "16,32",
+                 "--trials", "3", "--jobs", "1", "--no-cache"]
+            )
+        finally:
+            clear_topology_memo()
+        assert code == 0
+        assert sorted(calls) == [16, 32]
+
 
 class TestScenariosCommand:
     def test_lists_catalogue(self, capsys):
@@ -285,33 +310,38 @@ class TestCacheCommand:
             build_parser().parse_args(["cache"])
 
 
-class TestNodeApiFlag:
-    def test_parser_accepts_node_api(self):
-        for command in (["elect"], ["agree"], ["sweep", "--experiment", "E1"]):
-            args = build_parser().parse_args(command + ["--node-api", "batch"])
-            assert args.node_api == "batch"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["elect", "--node-api", "vector"])
-
-    def test_elect_complete_batch(self, capsys):
+class TestEngineFlag:
+    def test_reference_alone_runs_the_scalar_oracle(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
         code = main(
-            ["elect", "--topology", "complete", "--n", "64", "--seed", "3",
-             "--node-api", "batch"]
+            ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "16",
+             "--seed", "4", "--engine", "reference", "--trace", str(trace)]
         )
-        assert "classical" in capsys.readouterr().out
-        assert code in (0, 1)
-
-    def test_elect_batch_and_scalar_agree(self, capsys):
-        argv = ["elect", "--topology", "complete", "--n", "64", "--seed", "5"]
-        assert main(argv + ["--node-api", "batch"]) in (0, 1)
-        batch_out = capsys.readouterr().out
-        assert main(argv + ["--node-api", "scalar"]) in (0, 1)
-        assert capsys.readouterr().out == batch_out
-
-    def test_agree_shows_engine_row(self, capsys):
-        code = main(["agree", "--n", "64", "--seed", "1", "--node-api", "batch"])
+        assert code == 0
         out = capsys.readouterr().out
-        assert "engine[batch]" in out
+        # The oracle loop uses no kernel tier, so none is printed.
+        assert "(engine reference)" in out
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        paths = [r["path"] for r in records if r["event"] == "engine_start"]
+        assert paths == ["reference"]
+
+    def test_node_api_flag_is_gone(self):
+        for command in (["elect"], ["agree"], ["sweep", "--experiment", "E1"],
+                        ["profile", "--scenario", "ring-le/lcr"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--node-api", "batch"])
+
+    def test_paired_elect_is_backend_invariant(self, capsys):
+        argv = ["elect", "--topology", "complete", "--n", "64", "--seed", "5"]
+        assert main(argv + ["--engine", "fast"]) in (0, 1)
+        fast_out = capsys.readouterr().out
+        assert main(argv + ["--engine", "reference"]) in (0, 1)
+        assert capsys.readouterr().out == fast_out
+
+    def test_agree_shows_engine_row(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        code = main(["agree", "--n", "64", "--seed", "1"])
+        assert "engine[fast]" in capsys.readouterr().out
         assert code in (0, 1)
 
     def test_agree_k2_still_works_without_engine_row(self, capsys):
@@ -322,65 +352,7 @@ class TestNodeApiFlag:
         assert "engine[" not in out
         assert code in (0, 1)
 
-    def test_sweep_scenario_node_api_caches_separately(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        argv = ["sweep", "--scenario", "ring-le/lcr", "--sizes", "8",
-                "--trials", "2", "--jobs", "1"]
-        assert main(argv + ["--node-api", "batch"]) == 0
-        batch_out = capsys.readouterr().out
-        assert "node-api batch" in batch_out
-        assert main(argv + ["--node-api", "scalar"]) == 0
-        scalar_out = capsys.readouterr().out
-        # Bit-identical aggregates, separately-cached trial sets.
-        assert len(sorted(tmp_path.glob("*.json"))) == 2
-        strip = lambda s: s.replace("node-api batch", "").replace(", )", ")")
-        assert [r for r in strip(batch_out).splitlines() if "|" in r] == [
-            r for r in strip(scalar_out).splitlines() if "|" in r
-        ]
-
-    def test_sweep_batch_on_scalar_only_scenario_errors(self, capsys):
-        code = main(
-            ["sweep", "--scenario", "general-le/classical", "--sizes", "8",
-             "--trials", "1", "--jobs", "1", "--node-api", "batch",
-             "--no-cache"]
-        )
-        assert code == 2
-        assert "array-native" in capsys.readouterr().err
-
-    def test_sweep_experiment_batch_arms_supporting_side_only(self, capsys):
-        code = main(
-            ["sweep", "--experiment", "E1", "--sizes", "16", "--trials", "1",
-             "--jobs", "1", "--no-cache", "--node-api", "batch"]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "classical side only" in captured.err
-
-
-class TestEngineFlag:
-    def test_reference_alone_runs_the_scalar_oracle(self, capsys, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        code = main(
-            ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "16",
-             "--seed", "4", "--engine", "reference", "--trace", str(trace)]
-        )
-        assert code == 0
-        assert "node-api scalar" in capsys.readouterr().out
-        records = [json.loads(line) for line in trace.read_text().splitlines()]
-        paths = [r["path"] for r in records if r["event"] == "engine_start"]
-        assert paths == ["reference"]
-
-    def test_reference_with_batch_node_api_is_exit_2(self, capsys):
-        code = main(
-            ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "16",
-             "--engine", "reference", "--node-api", "batch"]
-        )
-        assert code == 2
-        assert "--node-api batch" in capsys.readouterr().err
-
-    def test_reference_sweep_shares_the_scalar_store_key(
+    def test_reference_sweep_shares_the_fast_store_key(
         self, capsys, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
@@ -388,7 +360,7 @@ class TestEngineFlag:
                 "--trials", "2", "--jobs", "1"]
         assert main(argv + ["--engine", "reference"]) == 0
         reference_out = capsys.readouterr().out
-        assert main(argv + ["--node-api", "scalar"]) == 0
+        assert main(argv + ["--engine", "fast"]) == 0
         assert capsys.readouterr().out == reference_out
         assert len(sorted(tmp_path.glob("*.json"))) == 1
 
@@ -440,8 +412,22 @@ class TestKernelFlag:
         auto_out = capsys.readouterr().out
         strip = lambda s: s.replace("kernel numpy", "").replace(
             "kernel numba", ""
-        ).replace("kernel auto", "")
+        )
         assert strip(numpy_out) == strip(auto_out)
+
+    def test_elect_prints_the_resolved_tier(self, capsys, monkeypatch):
+        from repro.network.kernels import numba_available
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        if numba_available():
+            pytest.skip("numba installed: auto resolves to numba")
+        code = main(
+            ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "64",
+             "--kernel", "auto"]
+        )
+        assert code == 0
+        assert "(engine fast, kernel numpy)" in capsys.readouterr().out
 
 
 class TestElectSingleProtocol:
@@ -500,8 +486,7 @@ class TestProtocolsCommand:
         assert main(["scenarios", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in payload}
-        assert by_name["ring-le/lcr"]["resolved_node_api"] == "batch"
-        assert by_name["ring-le/hs"]["resolved_node_api"] == "batch"
+        assert "node_api" not in by_name["ring-le/lcr"]
         assert by_name["ring-le/hs"]["kernel"] in ("numpy", "numba")
         assert by_name["ring-le-lossy/lcr"]["adversary"]["drop_rate"] == 0.02
         assert by_name["complete-le/quantum"]["sizes"] == [256, 1024, 4096]
