@@ -10,11 +10,17 @@ from repro.core.counting import (
     ApproxCountResult,
     CountResult,
     approx_count,
+    approx_count_stage,
     quantum_count,
 )
-from repro.core.grover import GroverSearchResult, distributed_grover_search
-from repro.core.minimum import MinimumOracle, MinimumResult, quantum_minimum
-from repro.core.parallel import run_in_parallel
+from repro.core.grover import GroverSearchResult, distributed_grover_search, grover_stage
+from repro.core.minimum import (
+    MinimumOracle,
+    MinimumResult,
+    minimum_stage,
+    quantum_minimum,
+)
+from repro.core.parallel import charge_stage
 from repro.core.procedures import CountOracle, SearchOracle, SetOracle, uniform_charge
 from repro.core.results import AgreementResult, LeaderElectionResult
 from repro.core.walk_search import WalkSearchResult, WalkSearchSpec, walk_search
@@ -34,13 +40,16 @@ __all__ = [
     "WalkSearchResult",
     "WalkSearchSpec",
     "approx_count",
+    "approx_count_stage",
     "candidate_probability",
+    "charge_stage",
     "distributed_grover_search",
     "draw_candidates",
+    "grover_stage",
+    "minimum_stage",
     "quantum_count",
     "quantum_minimum",
     "rank_space",
-    "run_in_parallel",
     "uniform_charge",
     "walk_search",
 ]

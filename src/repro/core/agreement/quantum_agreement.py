@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 
 from repro.core.candidates import draw_candidates
-from repro.core.counting import approx_count
-from repro.core.grover import distributed_grover_search
-from repro.core.parallel import run_in_parallel
+from repro.core.counting import approx_count_stage
+from repro.core.grover import grover_stage
 from repro.core.procedures import CountOracle, uniform_charge
 from repro.core.results import AgreementResult
 from repro.network.metrics import MetricsRecorder
@@ -113,16 +112,19 @@ def quantum_agreement(
         sample_marked_fn=lambda r: None,
     )
 
-    def estimation_task(scratch: MetricsRecorder) -> float:
-        result = approx_count(ones_oracle, epsilon, estimation_alpha, scratch, rng)
-        return min(1.0, max(0.0, result.estimate / n))
-
-    estimates = run_in_parallel(
+    estimates = approx_count_stage(
         metrics,
         "agreement.estimation",
-        [estimation_task for _ in draw.candidates],
+        ones_oracle,
+        epsilon,
+        estimation_alpha,
+        rng,
+        len(draw.candidates),
     )
-    q_estimate = dict(zip(draw.candidates, estimates))
+    q_estimate = {
+        v: min(1.0, max(0.0, estimate / n))
+        for v, estimate in zip(draw.candidates, estimates)
+    }
 
     # -- agreement loop ----------------------------------------------------------------
     # ℓ = O(log n): (4ε)^ℓ ≤ 1/(4n) with ε ≤ 1/20 (Lemma 6.6).
@@ -167,36 +169,30 @@ def quantum_agreement(
         # Quantum part: undecided candidates Grover-search for an informed node.
         informed_list = sorted(informed)
 
-        def detection_task(scratch: MetricsRecorder):
-            oracle = CountOracle(
-                domain_size=n,
-                marked=len(informed_list),
-                charge_checking=uniform_charge(
-                    CHECKING_MESSAGES, CHECKING_ROUNDS, "agreement.detect.checking"
-                ),
-                sample_marked_fn=lambda rr: informed_list[
-                    rr.uniform_int(0, len(informed_list) - 1)
-                ],
-            )
-            return distributed_grover_search(
-                oracle, detection_epsilon, detection_alpha, scratch, rng,
-                faults=faults, fault_site="agreement.detect.false_negative",
-            )
-
-        detections = run_in_parallel(
+        detections = grover_stage(
             metrics,
             "agreement.detection",
-            [detection_task for _ in undecided_now],
+            (
+                (len(informed_list) / n, len(informed_list), detection_epsilon)
+                for _ in undecided_now
+            ),
+            detection_alpha,
+            uniform_charge(
+                CHECKING_MESSAGES, CHECKING_ROUNDS, "agreement.detect.checking"
+            ),
+            rng,
+            faults=faults,
+            fault_site="agreement.detect.false_negative",
         )
 
         # Terminations.
         next_remaining: list[int] = []
         for v, value in decided_now.items():
             decisions[v] = value  # decided candidates terminate with their value
-        for v, detection in zip(undecided_now, detections):
-            if detection.succeeded:
+        for v, index in zip(undecided_now, detections):
+            if index is not None:
                 # v learns the value held by the informed node it found.
-                decisions[v] = informed[detection.found]
+                decisions[v] = informed[informed_list[index]]
             else:
                 next_remaining.append(v)
         remaining = next_remaining

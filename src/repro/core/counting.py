@@ -10,7 +10,9 @@ procedure; the outcome law is sampled exactly (see
 holds by construction.  ``ApproxCount(c, α)`` instantiates P = ⌈4π/c⌉ on the
 *doubled* domain (the proof's trick to lift the t ≤ |X|/2 hypothesis) and
 boosts to confidence 1 − α by taking the median of O(log 1/α) runs, all
-sampled as one column.
+sampled as one column.  :func:`approx_count_stage` runs ApproxCount at many
+nodes at once on one oracle (every candidate of QuantumAgreement): all
+their runs are one column, and the stage bills once per label.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
+from repro.core.parallel import charge_stage
 from repro.core.procedures import SearchOracle
 from repro.network.metrics import MetricsRecorder
 from repro.quantum.phase_estimation import (
@@ -28,7 +31,13 @@ from repro.quantum.phase_estimation import (
 )
 from repro.util.rng import RandomSource
 
-__all__ = ["ApproxCountResult", "CountResult", "approx_count", "quantum_count"]
+__all__ = [
+    "ApproxCountResult",
+    "CountResult",
+    "approx_count",
+    "approx_count_stage",
+    "quantum_count",
+]
 
 #: Coherent Checking invocations per controlled-Grover step (compute+uncompute).
 CHECKS_PER_STEP = 2
@@ -105,6 +114,13 @@ def runs_for_confidence(alpha: float) -> int:
     return r
 
 
+def _schedule(accuracy: float, alpha: float) -> tuple[int, int]:
+    """(P, runs) of ApproxCount(c, α): P = ⌈4π/c⌉ steps per run."""
+    if not 0.0 < accuracy <= 1.0:
+        raise ValueError(f"accuracy must be in (0, 1], got {accuracy}")
+    return max(4, math.ceil(4.0 * math.pi / accuracy)), runs_for_confidence(alpha)
+
+
 def approx_count(
     oracle: SearchOracle,
     accuracy: float,
@@ -118,18 +134,15 @@ def approx_count(
     The doubled-domain function g on [2N] (g ≡ f on [N], 0 elsewhere) has
     t_g = t_f ≤ N = |[2N]|/2, so Theorem 4.2 applies.  The proof's P = 8π/c
     is loose: with P = ⌈4π/c⌉ the Theorem 4.2 radius is
-    (c/2)·√(2·t·N) + (c²/8)·2N ≤ (√2/2 + c/4)·c·N < c·|X| for c ≤ 1,
+    (c/2)·√(2·t·N) + (c²/16)·2N ≤ (√2/2 + c/8)·c·N < c·N = c·|X| for c ≤ 1,
     so the corollary's guarantee survives with half the messages.
     """
-    if not 0.0 < accuracy <= 1.0:
-        raise ValueError(f"accuracy must be in (0, 1], got {accuracy}")
-    steps = max(4, math.ceil(4.0 * math.pi / accuracy))
-    runs = runs_for_confidence(alpha)
+    steps, runs = _schedule(accuracy, alpha)
 
-    # Every run bills its own coherent Checking calls, as Count(P) does.
+    # Every run bills its own coherent Checking calls, as Count(P) does:
+    # one charge covers them all.
     checking_calls = steps * CHECKS_PER_STEP
-    for _ in range(runs):
-        oracle.charge_checking(metrics, checking_calls)
+    oracle.charge_checking(metrics, runs * checking_calls)
     estimates = sample_counting_estimates(
         oracle.marked_count(), 2 * oracle.domain_size, steps, rng, runs
     )
@@ -140,3 +153,38 @@ def approx_count(
         steps_per_run=steps,
         checking_calls=runs * checking_calls,
     )
+
+
+def approx_count_stage(
+    metrics: MetricsRecorder,
+    label: str,
+    oracle: SearchOracle,
+    accuracy: float,
+    alpha: float,
+    rng: RandomSource,
+    tasks: int,
+) -> list[float]:
+    """ApproxCount(c, α) of one oracle at ``tasks`` nodes at once.
+
+    Returns each task's estimate, as ``tasks`` consecutive
+    :func:`approx_count` calls would: their runs are consecutive draws, so
+    one column of ``tasks``·runs runs holds them all.  The stage is charged
+    once per label, its rounds (one task's runs) under ``label``.
+    """
+    steps, runs = _schedule(accuracy, alpha)
+    if tasks < 1:
+        return []
+    checking_calls = steps * CHECKS_PER_STEP
+    estimates = sample_counting_estimates(
+        oracle.marked_count(), 2 * oracle.domain_size, steps, rng, tasks * runs
+    )
+    charge_stage(
+        metrics,
+        label,
+        oracle.charge_checking,
+        tasks * runs * checking_calls,
+        runs * checking_calls,
+    )
+    return [
+        float(statistics.median(row)) for row in estimates.reshape(tasks, runs).tolist()
+    ]

@@ -25,23 +25,43 @@ The implementation follows the proof's structure faithfully:
   transformation is the identity" (proof of Theorem 4.1) — an identity
   round carries no messages.  The paper's O(log(1/α)·M_C/√ε) is the
   worst-case envelope, attained exactly when no marked element exists.
+
+Simulation.  One attempt kernel serves every search: per attempt it draws
+the iteration count j, then one uniform against sin²((2j+1)θ) — the draws
+:func:`~repro.quantum.grover_dynamics.sample_attempt` makes, in the same
+order — and it stops at the first hit.  The found element is sampled right
+after the hit; the idle attempts then draw their iteration counts as one
+column, so the stream ends where the full schedule leaves it.
+:func:`distributed_grover_search` is one search; :func:`grover_stage` runs
+the kernel at many nodes at once (every candidate of QuantumLE, every node
+of QuantumGeneralLE) and bills the stage once per label: messages add over
+the searches, rounds advance once by the longest schedule.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.core.procedures import SearchOracle
+from repro.core.parallel import charge_stage
+from repro.core.procedures import ChargeHook, SearchOracle
 from repro.network.metrics import MetricsRecorder
-from repro.quantum.amplitude import attempts_for_confidence, worst_case_iterations
-from repro.quantum.grover_dynamics import sample_attempt
+from repro.quantum.amplitude import (
+    attempts_for_confidence,
+    grover_angle,
+    worst_case_iterations,
+)
 from repro.util.fault import FaultInjector
 from repro.util.rng import RandomSource
 
-__all__ = ["GroverSearchResult", "distributed_grover_search"]
+__all__ = ["GroverSearchResult", "distributed_grover_search", "grover_stage"]
 
 #: Coherent Checking invocations per Grover iteration (compute + uncompute).
 CHECKS_PER_ITERATION = 2
+
+#: Where a search's post-success schedule advances its rounds.
+IDLE_LABEL = "grover.synchronized-idle"
 
 
 @dataclass
@@ -56,6 +76,32 @@ class GroverSearchResult:
     @property
     def succeeded(self) -> bool:
         return self.found is not None
+
+
+def _attempt_loop(
+    generator,
+    cap: int,
+    attempts: int,
+    theta: float,
+    faults: FaultInjector | None,
+    fault_site: str,
+) -> tuple[int, int, bool]:
+    """Run attempts until the first hit: (attempts run, iterations, hit).
+
+    Each attempt draws j with ``generator.integers(0, cap)``; unless a
+    forced false negative takes the attempt (drawing nothing more), one
+    ``generator.random()`` below sin²((2j+1)θ) is a hit.
+    """
+    integers, uniform, sin = generator.integers, generator.random, math.sin
+    iterations = 0
+    for attempt in range(1, attempts + 1):
+        j = int(integers(0, cap))
+        iterations += j
+        if faults is not None and faults.should_fail(fault_site):
+            continue
+        if uniform() < sin((2 * j + 1) * theta) ** 2:
+            return attempt, iterations, True
+    return attempts, iterations, False
 
 
 def distributed_grover_search(
@@ -80,44 +126,28 @@ def distributed_grover_search(
 
     iteration_cap = worst_case_iterations(epsilon)
     attempts = attempts_for_confidence(alpha)
-    marked_fraction = oracle.marked_fraction()
+    theta = grover_angle(oracle.marked_fraction())
 
-    # Probe the per-call round cost so the skipped (identity) part of the
-    # schedule can still advance rounds deterministically.
-    probe = MetricsRecorder()
-    oracle.charge_checking(probe, 1)
-    rounds_per_call = probe.rounds
+    attempts_run, iterations_run, hit = _attempt_loop(
+        rng.generator, iteration_cap, attempts, theta, faults, fault_site
+    )
+    found = oracle.sample_marked(rng) if hit else None
+    if attempts_run < attempts:
+        rng.uniform_ints(0, iteration_cap - 1, attempts - attempts_run)
 
-    schedule_calls = attempts * (iteration_cap * CHECKS_PER_ITERATION + 1)
-    charged_calls = 0
-    iterations_run = 0
-
-    found = None
-    attempts_run = 0
-    while found is None and attempts_run < attempts:
-        attempts_run += 1
-        iterations = rng.uniform_int(0, iteration_cap - 1)
-        # u initiates this attempt: j iterations of S_f (two coherent
-        # Checking calls each) plus one classical verification.
-        calls = iterations * CHECKS_PER_ITERATION + 1
-        oracle.charge_checking(metrics, calls)
-        charged_calls += calls
-        iterations_run += iterations
-        outcome = sample_attempt(
-            marked_fraction, iterations, rng, faults=faults, fault_site=fault_site
-        )
-        if outcome.measured_marked and oracle.marked_count() > 0:
-            found = oracle.sample_marked(rng)
+    # u initiated each attempt it ran: j iterations of S_f (two coherent
+    # Checking calls each) plus one classical verification.
+    charged_calls = CHECKS_PER_ITERATION * iterations_run + attempts_run
+    oracle.charge_checking(metrics, charged_calls)
     # After a verified success u goes silent; the network's remaining
     # schedule is the identity transformation (no messages), but the
-    # synchronized rounds still elapse.  The idle attempts still draw their
-    # iteration counts, as one column, so the stream ends where the full
-    # schedule leaves it.
-    rng.uniform_ints(0, iteration_cap - 1, attempts - attempts_run)
-
+    # synchronized rounds still elapse.
+    probe = MetricsRecorder()
+    oracle.charge_checking(probe, 1)
+    schedule_calls = attempts * (iteration_cap * CHECKS_PER_ITERATION + 1)
     skipped_calls = schedule_calls - charged_calls
-    if skipped_calls > 0 and rounds_per_call > 0:
-        metrics.advance_rounds("grover.synchronized-idle", skipped_calls * rounds_per_call)
+    if skipped_calls > 0 and probe.rounds > 0:
+        metrics.advance_rounds(IDLE_LABEL, skipped_calls * probe.rounds)
 
     return GroverSearchResult(
         found=found,
@@ -125,3 +155,50 @@ def distributed_grover_search(
         iterations_charged=iterations_run,
         checking_calls=charged_calls,
     )
+
+
+def grover_stage(
+    metrics: MetricsRecorder,
+    label: str,
+    searches: Iterable[tuple[float, int, float]],
+    alpha: float,
+    charge_checking: ChargeHook,
+    rng: RandomSource,
+    faults: FaultInjector | None = None,
+    fault_site: str = "grover.false_negative",
+) -> list[int | None]:
+    """GroverSearch(ε, α) at many nodes at once, one search per task.
+
+    A task is ``(ε_f, marked, ε)``: its marked fraction, the number of
+    marked elements a hit picks from, and its promise.  Returns, per task,
+    the index of the element found among its marked elements (drawn as
+    ``sample_marked`` draws it), or None.  Every search bills Checking
+    through ``charge_checking``; the stage is charged once per label, its
+    rounds under ``label``.
+    """
+    attempts = attempts_for_confidence(alpha)
+    generator = rng.generator
+    found: list[int | None] = []
+    calls = widest = 0
+    for fraction, marked, epsilon in searches:
+        cap = worst_case_iterations(epsilon)
+        attempts_run, iterations, hit = _attempt_loop(
+            generator, cap, attempts, grover_angle(fraction), faults, fault_site
+        )
+        found.append(rng.uniform_int(0, marked - 1) if hit else None)
+        if attempts_run < attempts:
+            rng.uniform_ints(0, cap - 1, attempts - attempts_run)
+        calls += CHECKS_PER_ITERATION * iterations + attempts_run
+        widest = max(widest, cap)
+    if found:
+        # Every schedule leaves some attempt short of the cap, so every
+        # search idles at its end.
+        charge_stage(
+            metrics,
+            label,
+            charge_checking,
+            calls,
+            attempts * (widest * CHECKS_PER_ITERATION + 1),
+            IDLE_LABEL,
+        )
+    return found

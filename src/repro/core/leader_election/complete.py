@@ -22,9 +22,8 @@ import math
 import numpy as np
 
 from repro.core.candidates import draw_candidates
-from repro.core.grover import distributed_grover_search
-from repro.core.parallel import run_in_parallel
-from repro.core.procedures import CountOracle, uniform_charge
+from repro.core.grover import grover_stage
+from repro.core.procedures import uniform_charge
 from repro.core.results import LeaderElectionResult
 from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
@@ -83,53 +82,35 @@ def quantum_le_complete(
 
     # -- classical phase: referees ----------------------------------------------
     # Candidate v sends its rank through its first k ports, i.e. to nodes
-    # v+1, …, v+k (mod n).  ``received`` maps node -> highest rank received.
-    received: dict[int, int] = {}
-    for v in draw.candidates:
-        rank = draw.ranks[v]
-        for offset in range(1, k + 1):
-            w = (v + offset) % n
-            if received.get(w, 0) < rank:
-                received[w] = rank
+    # v+1, …, v+k (mod n).  ``held`` is the highest rank level each node
+    # received (0: none); levels compare as the ranks do.
+    levels = draw.rank_levels()
+    referees = (np.asarray(draw.candidates)[:, None] + np.arange(1, k + 1)) % n
+    held = np.zeros(n, dtype=np.int64)
+    np.maximum.at(held, referees.ravel(), np.repeat(levels, k))
     metrics.charge(
         "quantum-le.referees", messages=len(draw.candidates) * k, rounds=1
     )
 
     # -- quantum phase: per-candidate Grover searches (parallel, disjoint edges)
+    # Candidate v's marked nodes are those holding a higher rank than its
+    # own: received levels above v's, counted in one sorted column.
     epsilon = k / n
-
-    def make_task(v: int):
-        rank_v = draw.ranks[v]
-        marked_nodes = [w for w, r in received.items() if r > rank_v]
-
-        oracle = CountOracle(
-            domain_size=n,
-            marked=len(marked_nodes),
-            charge_checking=uniform_charge(
-                CHECKING_MESSAGES, CHECKING_ROUNDS, "quantum-le.grover.checking"
-            ),
-            sample_marked_fn=lambda r: marked_nodes[
-                r.uniform_int(0, len(marked_nodes) - 1)
-            ],
-            evaluate_fn=lambda w: received.get(w, 0) > rank_v,
-        )
-
-        def task(scratch: MetricsRecorder):
-            return distributed_grover_search(
-                oracle, epsilon, alpha, scratch, rng, faults=faults
-            )
-
-        return task
-
-    searches = run_in_parallel(
+    received = np.sort(held[held > 0])
+    higher = (received.size - received.searchsorted(levels, side="right")).tolist()
+    found = grover_stage(
         metrics,
         "quantum-le.grover",
-        [make_task(v) for v in draw.candidates],
+        ((count / n, count, epsilon) for count in higher),
+        alpha,
+        uniform_charge(CHECKING_MESSAGES, CHECKING_ROUNDS, "quantum-le.grover.checking"),
+        rng,
+        faults=faults,
     )
 
     # -- decision -----------------------------------------------------------------
-    for v, search in zip(draw.candidates, searches):
-        if not search.succeeded:
+    for v, index in zip(draw.candidates, found):
+        if index is None:
             status[v] = STATUS_ELECTED
 
     return LeaderElectionResult(

@@ -25,10 +25,9 @@ import math
 
 import numpy as np
 
-from repro.core.grover import distributed_grover_search
+from repro.core.grover import grover_stage
 from repro.core.leader_election.clusters import ClusterState, log_star, maximal_matching
-from repro.core.parallel import run_in_parallel
-from repro.core.procedures import CountOracle, uniform_charge
+from repro.core.procedures import uniform_charge
 from repro.core.results import LeaderElectionResult
 from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
 from repro.network.metrics import MetricsRecorder
@@ -43,8 +42,20 @@ CHECKING_MESSAGES = 2
 CHECKING_ROUNDS = 2
 
 
+def _port_columns(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, senders, receivers) of every port, in port order."""
+    table = topology.port_table()
+    nodes = np.arange(topology.n, dtype=np.int64)
+    degrees = table.degrees_of(nodes)
+    offsets = np.zeros(topology.n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    senders = np.repeat(nodes, degrees)
+    ports = np.arange(senders.size, dtype=np.int64) - offsets[senders]
+    return offsets, senders, table.receivers(senders, ports)
+
+
 def _find_outgoing_edges(
-    topology: Topology,
+    ports: tuple[np.ndarray, np.ndarray, np.ndarray],
     state: ClusterState,
     alpha: float,
     metrics: MetricsRecorder,
@@ -53,42 +64,42 @@ def _find_outgoing_edges(
 ) -> dict[int, tuple[int, tuple[int, int]]]:
     """Step (1): per-node Grover searches + per-cluster convergecast.
 
-    Returns cluster id -> (target cluster id, connecting edge).
+    ``ports`` are the topology's :func:`_port_columns`.  Node v searches
+    its ports for one leading out of its cluster: its marked fraction is
+    its outgoing ports over its degree, counted for every node at once
+    from the cluster column.  Returns cluster id -> (target cluster id,
+    connecting edge).
     """
-    found_per_cluster: dict[int, tuple[int, int]] = {}
+    offsets, senders, receivers = ports
+    cluster = np.asarray(state.cluster_of)
+    leaving = cluster[senders] != cluster[receivers]
+    outgoing = np.bincount(senders[leaving], minlength=state.n)
+    degrees = np.diff(offsets)
+    nodes = np.flatnonzero(degrees).tolist()
+    counts = outgoing[nodes].tolist()
 
-    def make_task(v: int):
-        neighbours = list(topology.neighbors(v))
-        outgoing = [w for w in neighbours if not state.same_cluster(v, w)]
-        degree = len(neighbours)
-
-        oracle = CountOracle(
-            domain_size=degree,
-            marked=len(outgoing),
-            charge_checking=uniform_charge(
-                CHECKING_MESSAGES, CHECKING_ROUNDS, "general-le.grover.checking"
-            ),
-            sample_marked_fn=lambda r: outgoing[r.uniform_int(0, len(outgoing) - 1)],
-            evaluate_fn=lambda w: not state.same_cluster(v, w),
-        )
-
-        def task(scratch: MetricsRecorder):
-            return distributed_grover_search(
-                oracle, 1.0 / degree, alpha, scratch, rng, faults=faults
-            )
-
-        return task
-
-    nodes = [v for v in range(topology.n) if topology.degree(v) > 0]
-    results = run_in_parallel(
-        metrics, "general-le.outgoing-search", [make_task(v) for v in nodes]
+    found = grover_stage(
+        metrics,
+        "general-le.outgoing-search",
+        (
+            (count / degree, count, 1.0 / degree)
+            for count, degree in zip(counts, degrees[nodes].tolist())
+        ),
+        alpha,
+        uniform_charge(CHECKING_MESSAGES, CHECKING_ROUNDS, "general-le.grover.checking"),
+        rng,
+        faults=faults,
     )
-    for v, result in zip(nodes, results):
-        if result.found is None:
+    found_per_cluster: dict[int, tuple[int, int]] = {}
+    for v, index in zip(nodes, found):
+        if index is None:
             continue
         cid = state.cluster_id(v)
         if cid not in found_per_cluster:
-            found_per_cluster[cid] = (v, result.found)
+            # The index-th of v's outgoing ports, in port order.
+            start = offsets[v]
+            port = np.flatnonzero(leaving[start : offsets[v + 1]])[index]
+            found_per_cluster[cid] = (v, int(receivers[start + port]))
 
     # Convergecast any found edge to the cluster center (arbitrary pick).
     convergecast_messages = state.total_tree_edges()
@@ -123,9 +134,10 @@ def quantum_general_le(
     phase_limit = 4 * max(1, math.ceil(math.log2(n))) + 8
     phases = 0
 
+    ports = _port_columns(topology)
     while state.count > 1 and phases < phase_limit:
         phases += 1
-        proposals = _find_outgoing_edges(topology, state, alpha, metrics, rng, faults)
+        proposals = _find_outgoing_edges(ports, state, alpha, metrics, rng, faults)
 
         if not proposals:
             # Every cluster's search failed (probability ≤ n·α per phase);

@@ -34,9 +34,8 @@ import math
 import numpy as np
 
 from repro.core.candidates import draw_candidates
-from repro.core.grover import distributed_grover_search
-from repro.core.parallel import run_in_parallel
-from repro.core.procedures import CountOracle, uniform_charge
+from repro.core.grover import grover_stage
+from repro.core.procedures import uniform_charge
 from repro.core.results import LeaderElectionResult
 from repro.network.message import messages_for_bits
 from repro.network.batch import STATUS_ELECTED, STATUS_NON_ELECTED
@@ -162,45 +161,31 @@ def quantum_rwle(
         )
     ]
 
-    def make_task(holders: np.ndarray, marked_fraction: float):
-        # The Grover domain is the (huge) space of random-choice strings; the
-        # dynamics only need the marked fraction, which we realize exactly on
-        # an integer domain of matching resolution.
-        resolution = max(n * k, 1024)
-        if marked_fraction > 0.0:
-            marked_count = max(1, round(marked_fraction * resolution))
-        else:
-            marked_count = 0
-
-        oracle = CountOracle(
-            domain_size=resolution,
-            marked=marked_count,
-            charge_checking=uniform_charge(
-                checking_messages, checking_rounds, "quantum-rwle.grover.checking"
-            ),
-            sample_marked_fn=lambda r: int(holders[r.uniform_int(0, holders.size - 1)])
-            if holders.size
-            else None,
-        )
-
-        def task(scratch: MetricsRecorder):
-            return distributed_grover_search(
-                oracle, epsilon, alpha, scratch, rng, faults=faults
-            )
-
-        return task
-
-    searches = run_in_parallel(
+    # The Grover domain is the (huge) space of random-choice strings; the
+    # dynamics only need the marked fraction, which is realized exactly on
+    # an integer domain of matching resolution.  A hit picks a holder.
+    resolution = max(n * k, 1024)
+    marked_counts = [
+        max(1, round(fraction * resolution)) if fraction > 0.0 else 0
+        for fraction in marked_fractions
+    ]
+    found = grover_stage(
         metrics,
         "quantum-rwle.grover",
-        [
-            make_task(holders, fraction)
-            for holders, fraction in zip(holder_sets, marked_fractions)
-        ],
+        (
+            (marked / resolution, holders.size, epsilon)
+            for marked, holders in zip(marked_counts, holder_sets)
+        ),
+        alpha,
+        uniform_charge(
+            checking_messages, checking_rounds, "quantum-rwle.grover.checking"
+        ),
+        rng,
+        faults=faults,
     )
 
-    for v, search in zip(draw.candidates, searches):
-        if not search.succeeded:
+    for v, index in zip(draw.candidates, found):
+        if index is None:
             status[v] = STATUS_ELECTED
 
     return LeaderElectionResult(

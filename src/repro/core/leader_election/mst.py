@@ -10,6 +10,10 @@ the classic trick) the merged edge set is exactly the MST.
 
 Message complexity is the same Õ(√(mn)) envelope as QuantumGeneralLE:
 Dürr–Høyer costs O(√deg·log) per node per phase, as Grover search did.
+
+Each node sorts its neighbours by edge weight once per run; a phase's
+outgoing edges are a filter of that list, so they stay sorted and the
+node's search runs on ranks (:func:`~repro.core.minimum.minimum_stage`).
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.leader_election.clusters import ClusterState
-from repro.core.minimum import MinimumOracle, quantum_minimum
-from repro.core.parallel import run_in_parallel
+from repro.core.minimum import minimum_stage
+from repro.core.procedures import uniform_charge
 from repro.network.metrics import MetricsRecorder
 from repro.network.topology import Topology
 from repro.util.fault import FaultInjector
@@ -88,53 +92,30 @@ def quantum_mst(
     phase_limit = 4 * max(1, math.ceil(math.log2(n))) + 8
     phases = 0
 
+    nodes = [v for v in range(n) if topology.degree(v) > 0]
+    # Each node's neighbours, lightest edge first: its search domain.
+    by_weight = [
+        (v, sorted(topology.neighbors(v), key=lambda w, v=v: edge_key(weights, v, w)))
+        for v in nodes
+    ]
+    checking = uniform_charge(
+        CHECKING_MESSAGES, CHECKING_ROUNDS, "mst.durr-hoyer.checking"
+    )
     while state.count > 1 and phases < phase_limit:
         phases += 1
 
-        def make_task(v: int):
-            outgoing = [
-                w for w in topology.neighbors(v) if not state.same_cluster(v, w)
-            ]
-            if not outgoing:
-                return lambda scratch: None
-            keyed = sorted(outgoing, key=lambda w: edge_key(weights, v, w))
-
-            def count_below(threshold):
-                if threshold is None:
-                    return len(keyed)
-                return sum(
-                    1 for w in keyed if edge_key(weights, v, w) < threshold
-                )
-
-            def sample_below(threshold, r: RandomSource):
-                pool = (
-                    keyed
-                    if threshold is None
-                    else [w for w in keyed if edge_key(weights, v, w) < threshold]
-                )
-                return pool[r.uniform_int(0, len(pool) - 1)]
-
-            oracle = MinimumOracle(
-                domain_size=topology.degree(v),
-                count_below=count_below,
-                sample_below=sample_below,
-                value_of=lambda w: edge_key(weights, v, w),
-                charge_checking=lambda m, calls: m.charge(
-                    "mst.durr-hoyer.checking",
-                    messages=CHECKING_MESSAGES * calls,
-                    rounds=CHECKING_ROUNDS * calls,
-                ),
-            )
-
-            def task(scratch: MetricsRecorder):
-                result = quantum_minimum(oracle, alpha, scratch, rng, faults=faults)
-                return result.minimizer
-
-            return task
-
-        nodes = [v for v in range(n) if topology.degree(v) > 0]
-        found = run_in_parallel(
-            metrics, "mst.minimum-search", [make_task(v) for v in nodes]
+        cluster = state.cluster_of
+        found = minimum_stage(
+            metrics,
+            "mst.minimum-search",
+            (
+                ([w for w in ranked if cluster[w] != cluster[v]], len(ranked))
+                for v, ranked in by_weight
+            ),
+            alpha,
+            checking,
+            rng,
+            faults=faults,
         )
 
         # Convergecast the per-cluster minimum outgoing edge to each center.

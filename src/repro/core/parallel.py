@@ -4,40 +4,46 @@ Several protocols run the same quantum subroutine at many nodes
 simultaneously — e.g. every candidate of QuantumLE runs its own Grover search
 over edges disjoint from every other candidate's (proof of Theorem 5.2).
 Such a stage costs the *sum* of the participants' messages but only the
-*maximum* of their round counts.  ``run_in_parallel`` executes each
-participant against a scratch recorder and folds the costs accordingly.
+*maximum* of their round counts.  The stage loops of
+:mod:`repro.core.grover`, :mod:`repro.core.minimum` and
+:mod:`repro.core.counting` run every participant, then bill the whole stage
+with :func:`charge_stage`: one ledger entry per label.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from typing import TypeVar
-
+from repro.core.procedures import ChargeHook
 from repro.network.metrics import MetricsRecorder
 
-__all__ = ["run_in_parallel"]
-
-T = TypeVar("T")
+__all__ = ["charge_stage"]
 
 
-def run_in_parallel(
+def charge_stage(
     metrics: MetricsRecorder,
     label: str,
-    tasks: list[Callable[[MetricsRecorder], T]],
-) -> list[T]:
-    """Run per-node tasks that are simultaneous in the synchronized schedule.
+    charge_checking: ChargeHook,
+    calls: int,
+    longest: int,
+    idle_label: str | None = None,
+) -> None:
+    """Charge a node-parallel stage once per label.
 
-    Messages from every task are charged (summed, keeping the tasks' own
-    ledger labels); rounds advance once, by the worst-case task duration.
+    ``calls`` is the stage's Checking calls summed over its tasks, and
+    ``longest`` the longest task's synchronized schedule, in Checking calls.
+    The hook is additive in its calls, so one charge of ``calls`` bills the
+    messages of every task's own charges; its rounds are dropped.  Rounds
+    advance once, under ``label``, by ``longest`` calls' worth.
+    ``idle_label`` names the idle part of the tasks' schedules; it is
+    recorded with no messages, as a task's own idle rounds would be.
     """
-    results: list[T] = []
-    longest = 0
-    for task in tasks:
-        scratch = MetricsRecorder()
-        results.append(task(scratch))
-        for entry in scratch.ledger.entries:
-            metrics.charge_messages(entry.label, entry.messages)
-        longest = max(longest, scratch.rounds)
-    if longest:
-        metrics.advance_rounds(label, longest)
-    return results
+    scratch = MetricsRecorder()
+    charge_checking(scratch, calls)
+    for entry in scratch.ledger.entries:
+        metrics.charge_messages(entry.label, entry.messages)
+    probe = MetricsRecorder()
+    charge_checking(probe, 1)
+    rounds = probe.rounds * longest
+    if rounds:
+        if idle_label is not None:
+            metrics.charge_messages(idle_label, 0)
+        metrics.advance_rounds(label, rounds)

@@ -14,7 +14,11 @@ procedure.  The quantum subroutines consume oracles in two independent ways:
 
 ``charge_checking`` may be a plain (messages, rounds) pair or an arbitrary
 hook — QuantumQWLE's Checking, for instance, internally runs nested Grover
-searches whose costs depend on the current candidate population.
+searches whose costs depend on the current candidate population.  Either
+way a hook must be additive in ``calls``: charging a + b calls bills what
+charging a calls and then b calls would.  GroverSearch, ApproxCount and
+the node-parallel stages charge a whole search's (or stage's) calls at
+once.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ __all__ = [
     "uniform_charge",
 ]
 
-#: A hook charging the cost of ``calls`` coherent invocations of a procedure.
+#: A hook charging the cost of ``calls`` coherent invocations of a procedure;
+#: additive in ``calls`` (see the module docstring).
 ChargeHook = Callable[[MetricsRecorder, int], None]
 
 

@@ -8,6 +8,7 @@ experiments are reproducible.
 from __future__ import annotations
 
 import math
+import random
 
 from repro.network.topology import (
     CompleteBipartiteTopology,
@@ -125,22 +126,47 @@ def random_regular(n: int, degree: int, rng: RandomSource) -> ExplicitTopology:
     )
 
 
+def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """The edges of networkx's ``fast_gnp_random_graph(n, p, seed)``.
+
+    Batagelj–Brandes geometric skipping over the pairs (w, v), w < v, on
+    ``random.Random(seed)`` — networkx's loop, without building its graph.
+    For p ≥ 1 every pair is an edge.
+    """
+    if p >= 1.0:
+        return [(v, w) for v in range(n) for w in range(v)]
+    uniform = random.Random(seed).random
+    log_skip = math.log(1.0 - p)
+    edges = []
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(math.log(1.0 - uniform()) / log_skip)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((v, w))
+    return edges
+
+
 def erdos_renyi(
     n: int,
     p: float,
     rng: RandomSource,
     ensure_connected: bool = True,
 ) -> ExplicitTopology:
-    """G(n, p), optionally retried until connected."""
+    """G(n, p), optionally retried until connected.
+
+    Each draw seeds networkx's G(n, p) generator and yields its graph
+    (:func:`_gnp_edges`), so a seed draws the same graph it always has.
+    """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    import networkx as nx  # deferred: see repro.network.deferred
 
     attempts = 100 if ensure_connected else 1
     for _ in range(attempts):
         seed = rng.uniform_int(0, 2**31 - 1)
-        graph = nx.fast_gnp_random_graph(n, p, seed=seed)
-        topology = ExplicitTopology.from_networkx(graph)
+        topology = ExplicitTopology(n, _gnp_edges(n, p, seed))
         if not ensure_connected or is_connected(topology):
             return topology
     raise RuntimeError(f"failed to draw a connected G({n}, {p}) graph")

@@ -16,6 +16,7 @@ Two representations coexist behind the same interface:
 
 from __future__ import annotations
 
+import bisect
 from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -138,7 +139,6 @@ class ExplicitTopology(Topology):
             adjacency[v].append(u)
         self._n = n
         self._adjacency = [sorted(nbrs) for nbrs in adjacency]
-        self._adjacency_sets = [set(nbrs) for nbrs in self._adjacency]
         self._m = len(seen)
         self._port_index: list[dict[int, int] | None] = [None] * n
 
@@ -180,7 +180,9 @@ class ExplicitTopology(Topology):
     def has_edge(self, u: int, v: int) -> bool:
         self.validate_node(u)
         self.validate_node(v)
-        return v in self._adjacency_sets[u]
+        neighbours = self._adjacency[u]
+        position = bisect.bisect_left(neighbours, v)
+        return position < len(neighbours) and neighbours[position] == v
 
     def edge_count(self) -> int:
         return self._m

@@ -19,7 +19,10 @@ Runs are sampled as a column: one ``generator.random`` call supplies every
 run's eigenvector coin and outcome, and each outcome is read off a CDF
 built once per (t, N, P, eigenvector) — the same CDF and the same
 ``searchsorted`` that ``Generator.choice(P, p=law)`` would apply to that
-draw, so a column of r runs equals r one-run draws bit for bit.
+draw, so a column of r runs equals r one-run draws bit for bit.  Outcomes
+decode through a table built once per (N, P) with
+:func:`counting_estimate_from_outcome`, so every estimate is that
+function's float.
 """
 
 from __future__ import annotations
@@ -111,6 +114,14 @@ def _outcome_cdf(t: int, N: int, P: int, conjugate: bool) -> np.ndarray:
     return cdf
 
 
+@functools.lru_cache(maxsize=8)
+def _estimate_table(N: int, P: int) -> np.ndarray:
+    """Read-only t̃ of every outcome y ∈ {0, …, P−1}, for a count among N."""
+    table = np.array([counting_estimate_from_outcome(y, N, P) for y in range(P)])
+    table.flags.writeable = False  # every caller shares the cached array
+    return table
+
+
 def sample_counting_estimates(
     t: int,
     N: int,
@@ -140,9 +151,7 @@ def sample_counting_estimates(
             )
     else:
         outcomes = cdf.searchsorted(rng.generator.random(runs), side="right")
-    return np.array(
-        [counting_estimate_from_outcome(y, N, P) for y in outcomes.tolist()]
-    )
+    return _estimate_table(N, P)[outcomes]
 
 
 def sample_counting_estimate(

@@ -135,14 +135,15 @@ class TestApproxCount:
 
 
 def _per_run_approx_count(oracle, accuracy, alpha, metrics, rng):
-    """ApproxCount as a loop of Count(P) runs, each charging its Checking
-    calls and then sampling its outcome with ``Generator.choice``."""
+    """ApproxCount as a loop of Count(P) runs, each sampling its outcome
+    with ``Generator.choice``; the runs' Checking calls are charged
+    together, in one charge."""
     steps = max(4, math.ceil(4.0 * math.pi / accuracy))
     runs = runs_for_confidence(alpha)
     t, N = oracle.marked_count(), 2 * oracle.domain_size
+    oracle.charge_checking(metrics, runs * 2 * steps)
     estimates = []
     for _ in range(runs):
-        oracle.charge_checking(metrics, 2 * steps)
         omega = eigenphase_turns(t, N)
         if 0 < t < N and rng.bernoulli(0.5):
             omega = 1.0 - omega

@@ -177,7 +177,8 @@ class TestValidationAndFaults:
 
 def _every_attempt_search(oracle, epsilon, alpha, metrics, rng, faults=None):
     """GroverSearch as a loop over the whole schedule: every attempt draws
-    its iteration count, one scalar at a time, even after a success."""
+    its iteration count, one scalar at a time, even after a success.  The
+    calls of the attempts run are charged together, in one Checking charge."""
     cap = worst_case_iterations(epsilon)
     attempts = attempts_for_confidence(alpha)
     probe = MetricsRecorder()
@@ -187,15 +188,14 @@ def _every_attempt_search(oracle, epsilon, alpha, metrics, rng, faults=None):
     for _ in range(attempts):
         iterations = rng.uniform_int(0, cap - 1)
         if found is None:
-            calls = 2 * iterations + 1
-            oracle.charge_checking(metrics, calls)
-            charged += calls
+            charged += 2 * iterations + 1
             iterations_run += iterations
             outcome = sample_attempt(
                 oracle.marked_fraction(), iterations, rng, faults=faults
             )
             if outcome.measured_marked and oracle.marked_count() > 0:
                 found = oracle.sample_marked(rng)
+    oracle.charge_checking(metrics, charged)
     skipped = attempts * (2 * cap + 1) - charged
     if skipped > 0 and probe.rounds > 0:
         metrics.advance_rounds("grover.synchronized-idle", skipped * probe.rounds)

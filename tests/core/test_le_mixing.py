@@ -5,11 +5,11 @@ import math
 import pytest
 
 from repro.core.candidates import draw_candidates
-from repro.core.grover import GroverSearchResult
 from repro.core.leader_election import mixing
 from repro.core.leader_election.mixing import default_k_mixing, quantum_rwle
 from repro.network import graphs
 from repro.network.message import messages_for_bits
+from repro.network.metrics import MetricsRecorder
 from repro.network.node import Status
 from repro.network.random_walk import RandomWalk
 from repro.util.fault import FaultInjector
@@ -73,26 +73,30 @@ class TestCostAccounting:
         at τ (up to CONGEST word-packing granularity).
 
         The ledger total is the per-call cost times a random number of
-        calls, so divide by the calls the Grover searches report."""
-        calls = []
-        search = mixing.distributed_grover_search
+        calls, so read the per-call cost off the Checking hook the Grover
+        stage is given, and check the total is a whole number of calls."""
+        hooks = []
+        stage = mixing.grover_stage
 
-        def spy(*args, **kwargs):
-            result = search(*args, **kwargs)
-            calls.append(result.checking_calls)
-            return result
+        def spy(metrics, label, searches, alpha, charge_checking, *args, **kwargs):
+            hooks.append(charge_checking)
+            return stage(metrics, label, searches, alpha, charge_checking, *args, **kwargs)
 
-        monkeypatch.setattr(mixing, "distributed_grover_search", spy)
+        monkeypatch.setattr(mixing, "grover_stage", spy)
         n = 64
         per_call = {}
         for tau in (16, 64):
-            calls.clear()
+            hooks.clear()
             rng = RandomSource(9)
             result = quantum_rwle(graphs.hypercube(6), rng, tau=tau, k=4, alpha=0.1)
             grover = result.metrics.ledger.messages_by_label()[
                 "quantum-rwle.grover.checking"
             ]
-            per_call[tau] = grover / sum(calls)
+            (hook,) = hooks
+            probe = MetricsRecorder()
+            hook(probe, 1)
+            per_call[tau] = probe.messages
+            assert grover > 0 and grover % per_call[tau] == 0
             bits = tau * (1 + math.ceil(math.log2(n)))
             assert per_call[tau] == tau * messages_for_bits(bits, n) + tau
         ratio = per_call[64] / per_call[16]
@@ -145,13 +149,12 @@ class TestRankLevels:
             referee.append((list(starts), ends.tolist()))
             return ends
 
-        def exact_grover(oracle, epsilon, alpha, metrics, rng, faults=None):
-            found = oracle.sample_marked(rng) if oracle.marked_count() else None
-            return GroverSearchResult(found, 1, 0, 1)
+        def exact_grover(metrics, label, searches, *args, **kwargs):
+            return [0 if fraction > 0.0 else None for fraction, _, _ in searches]
 
         monkeypatch.setattr(mixing, "draw_candidates", big_ranks)
         monkeypatch.setattr(RandomWalk, "endpoints", spy)
-        monkeypatch.setattr(mixing, "distributed_grover_search", exact_grover)
+        monkeypatch.setattr(mixing, "grover_stage", exact_grover)
         faults = FaultInjector()
         faults.force("candidates.force_tie")
         topology = graphs.hypercube(6)

@@ -1,44 +1,38 @@
 """Tests for parallel stage accounting."""
 
-from repro.core.parallel import run_in_parallel
+from repro.core.parallel import charge_stage
+from repro.core.procedures import uniform_charge
 from repro.network.metrics import MetricsRecorder
 
 
-class TestRunInParallel:
+class TestChargeStage:
     def test_messages_sum_rounds_max(self):
+        # Two tasks of 5 and 7 Checking calls; the longer schedule is 10.
         metrics = MetricsRecorder()
-
-        def task_a(scratch):
-            scratch.charge("a", messages=5, rounds=3)
-            return "a"
-
-        def task_b(scratch):
-            scratch.charge("b", messages=7, rounds=10)
-            return "b"
-
-        results = run_in_parallel(metrics, "stage", [task_a, task_b])
-        assert results == ["a", "b"]
+        charge_stage(metrics, "stage", uniform_charge(1, 3, "x.checking"), 12, 10)
         assert metrics.messages == 12
-        assert metrics.rounds == 10  # max, not sum
+        assert metrics.rounds == 30  # the longest schedule, not the sum
 
     def test_labels_preserved(self):
         metrics = MetricsRecorder()
-        run_in_parallel(
-            metrics,
-            "stage",
-            [lambda s: s.charge("x.inner", messages=2, rounds=1)],
-        )
-        assert metrics.ledger.messages_by_label()["x.inner"] == 2
+        charge_stage(metrics, "stage", uniform_charge(2, 1, "x.inner"), 4, 4)
+        assert metrics.ledger.messages_by_label() == {"x.inner": 8, "stage": 0}
+        assert metrics.ledger.entries[-1] == ("stage", 0, 4)
 
-    def test_empty_task_list(self):
+    def test_one_entry_per_label(self):
         metrics = MetricsRecorder()
-        assert run_in_parallel(metrics, "stage", []) == []
-        assert metrics.rounds == 0
-
-    def test_zero_round_tasks_add_no_rounds(self):
-        metrics = MetricsRecorder()
-        run_in_parallel(
-            metrics, "stage", [lambda s: s.charge_messages("m", 1)]
+        charge_stage(
+            metrics, "stage", uniform_charge(2, 2, "x.checking"), 9, 5, "x.idle"
         )
+        assert metrics.ledger.entries == [
+            ("x.checking", 18, 0),
+            ("x.idle", 0, 0),
+            ("stage", 0, 10),
+        ]
+
+    def test_zero_round_hook_adds_no_rounds(self):
+        metrics = MetricsRecorder()
+        charge_stage(metrics, "stage", uniform_charge(1, 0, "m"), 1, 1, "x.idle")
         assert metrics.rounds == 0
         assert metrics.messages == 1
+        assert metrics.ledger.messages_by_label() == {"m": 1}

@@ -21,6 +21,19 @@ class TestUniformCharge:
         assert metrics.rounds == 15
         assert metrics.ledger.messages_by_label() == {"test.checking": 10}
 
+    @pytest.mark.parametrize("a, b", [(0, 0), (0, 4), (3, 5), (17, 1)])
+    def test_additive_in_calls(self, a, b):
+        """One charge of a + b calls bills what a then b calls bill: the
+        stage loops charge a whole stage's calls at once."""
+        charge = uniform_charge(2, 3, "test.checking")
+        once, twice = MetricsRecorder(), MetricsRecorder()
+        charge(once, a + b)
+        charge(twice, a)
+        charge(twice, b)
+        assert once.snapshot() == twice.snapshot()
+        assert once.ledger.messages_by_label() == twice.ledger.messages_by_label()
+        assert once.ledger.total_rounds == twice.ledger.total_rounds
+
     def test_rejects_negative_costs(self):
         with pytest.raises(ValueError):
             uniform_charge(-1, 0, "bad")

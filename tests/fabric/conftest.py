@@ -12,12 +12,6 @@ import pytest
 from repro.runtime import Scenario, TopologySpec
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    """Never let a fabric test touch the repo's real result cache."""
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "default-cache"))
-
-
 @pytest.fixture
 def make_scenario():
     """Factory for cheap, deterministic sweep scenarios."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network import graphs
-from repro.network.topology import diameter, is_connected
+from repro.network.topology import ExplicitTopology, diameter, is_connected
 from repro.util.rng import RandomSource
 
 
@@ -96,3 +96,62 @@ class TestRandomFamilies:
         e = graphs.as_explicit(t)
         assert e.edge_count() == t.edge_count()
         assert sorted(e.edges()) == sorted(t.edges())
+
+
+def _networkx_gnp(n, p, rng, ensure_connected=True):
+    """G(n, p) drawn through networkx itself, retried as ``erdos_renyi``
+    retries."""
+    import networkx as nx
+
+    for _ in range(100 if ensure_connected else 1):
+        seed = rng.uniform_int(0, 2**31 - 1)
+        topology = ExplicitTopology.from_networkx(
+            nx.fast_gnp_random_graph(n, p, seed=seed)
+        )
+        if not ensure_connected or is_connected(topology):
+            return topology
+    raise AssertionError("no connected draw")
+
+
+def _adjacency(topology):
+    return [topology.adjacency_list(v) for v in range(topology.n)]
+
+
+class TestGnpMatchesNetworkx:
+    """``erdos_renyi`` draws networkx's G(n, p) for every seed, without
+    networkx: same adjacency, same stream consumed."""
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(2, 0.5), (12, 0.3), (64, 0.1), (96, 0.5), (40, 0.97), (20, 1.0)],
+    )
+    def test_single_draws(self, n, p):
+        for seed in range(200):
+            ours, theirs = RandomSource(seed), RandomSource(seed)
+            drawn = graphs.erdos_renyi(n, p, ours, ensure_connected=False)
+            expected = _networkx_gnp(n, p, theirs, ensure_connected=False)
+            assert _adjacency(drawn) == _adjacency(expected)
+            assert drawn.edge_count() == expected.edge_count()
+
+    @pytest.mark.parametrize("n, p", [(30, 0.1), (50, 0.08)])
+    def test_connectivity_retry(self, n, p):
+        retried = 0
+        for seed in range(200):
+            ours, theirs = RandomSource(seed), RandomSource(seed)
+            drawn = graphs.erdos_renyi(n, p, ours)
+            expected = _networkx_gnp(n, p, theirs)
+            assert _adjacency(drawn) == _adjacency(expected)
+            state = ours.generator.bit_generator.state
+            assert state == theirs.generator.bit_generator.state
+            first = RandomSource(seed)
+            first.uniform_int(0, 2**31 - 1)
+            retried += state != first.generator.bit_generator.state
+        assert retried > 0  # the grid exercises the retry
+
+    def test_has_edge_on_sorted_adjacency(self):
+        topology = graphs.erdos_renyi(40, 0.2, RandomSource(3))
+        edges = set(topology.edges())
+        for u in range(40):
+            for v in range(40):
+                expected = (min(u, v), max(u, v)) in edges
+                assert topology.has_edge(u, v) == expected

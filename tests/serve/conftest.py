@@ -24,12 +24,6 @@ from repro.telemetry import reset_metrics
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    """Never let a serve test touch the repo's real result cache."""
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "default-cache"))
-
-
-@pytest.fixture(autouse=True)
 def _clean_registry():
     """Serve tests assert on counters; start and end from zero."""
     reset_metrics()

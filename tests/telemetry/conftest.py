@@ -16,8 +16,7 @@ from repro.telemetry import reset_metrics, reset_telemetry
 
 
 @pytest.fixture(autouse=True)
-def _isolated_telemetry(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "default-cache"))
+def _isolated_telemetry(monkeypatch):
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_PROFILE", raising=False)
     reset_telemetry()

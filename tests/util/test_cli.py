@@ -2,10 +2,27 @@
 
 import json
 import os
+import pathlib
 
 import pytest
 
 from repro.cli import build_parser, main
+
+CHECKOUT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def _checkout_files() -> dict[str, int]:
+    """Modification time of every file under the checkout, outside hidden
+    and bytecode directories."""
+    return {
+        str(path.relative_to(CHECKOUT)): path.stat().st_mtime_ns
+        for path in CHECKOUT.rglob("*")
+        if path.is_file()
+        and not any(
+            part.startswith(".") or part == "__pycache__"
+            for part in path.relative_to(CHECKOUT).parts[:-1]
+        )
+    }
 
 
 class TestParser:
@@ -105,6 +122,22 @@ class TestSweepCommand:
         assert code == 0
         assert "ring-le/hs" in out
         assert "p90" in out
+
+    def test_sweep_writes_nothing_under_the_checkout(self, capsys, monkeypatch):
+        # Run from the checkout root, where the unpinned default store
+        # would resolve: the suite's pin sends every entry to the test's
+        # own store instead.
+        monkeypatch.chdir(CHECKOUT)
+        before = _checkout_files()
+        code = main(
+            ["sweep", "--scenario", "ring-le/lcr", "--sizes", "8,16",
+             "--trials", "2", "--jobs", "2"]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert _checkout_files() == before
+        store = pathlib.Path(os.environ["REPRO_RESULT_CACHE"])
+        assert any(path.is_file() for path in store.rglob("*"))
 
     def test_unknown_scenario_is_an_error(self, capsys):
         assert main(["sweep", "--scenario", "le-donut/quantum"]) == 2
