@@ -6,8 +6,8 @@ two-tier cache (in-process LRU of assembled runs over the
 content-addressed on-disk :class:`~repro.runtime.store.ResultStore`),
 cold ones become single-flighted fabric jobs whose worker fleets the
 server owns and supervises.  Everything is stdlib —
-``http.server.ThreadingHTTPServer`` threads over the existing runtime,
-fabric, and telemetry layers.
+an ``http.server.HTTPServer`` with reused handler threads over the
+existing runtime, fabric, and telemetry layers.
 
 Split by concern:
 

@@ -2,8 +2,9 @@
 
 One :class:`ServeApp` owns the tiered :class:`~repro.serve.cache.RunCache`
 and the single-flight :class:`~repro.serve.jobs.JobTable`; a
-:class:`ThreadingHTTPServer` dispatches each request on its own thread
-into the app.  Routes:
+:class:`ReproServer` hands each accepted connection to an idle handler
+thread (starting one only when none is idle), which dispatches it into
+the app.  Routes:
 
 * ``GET  /healthz`` — liveness (reports draining)
 * ``GET  /metrics`` — Prometheus text from the process registry
@@ -25,11 +26,12 @@ from __future__ import annotations
 
 import json
 import logging
+import queue
 import re
 import signal
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from time import perf_counter
 from urllib.parse import urlsplit
 
@@ -284,7 +286,14 @@ class _ServeHandler(BaseHTTPRequestHandler):
             raise ApiError("not_found", f"no route for GET {path}", status=404)
         if method == "POST":
             if path == "/v1/runs":
-                length = int(self.headers.get("Content-Length") or 0)
+                raw_length = self.headers.get("Content-Length") or "0"
+                try:
+                    length = int(raw_length)
+                except ValueError:
+                    raise ApiError(
+                        "bad_request",
+                        f"Content-Length {raw_length!r} is not an integer",
+                    ) from None
                 body = self.rfile.read(length) if length > 0 else b""
                 return app.submit_run(body)
             raise ApiError("not_found", f"no route for POST {path}", status=404)
@@ -309,15 +318,67 @@ class _ServeHandler(BaseHTTPRequestHandler):
         return 200
 
 
-class ReproServer(ThreadingHTTPServer):
-    """One HTTP thread per request; requests share the app's locks."""
+class ReproServer(HTTPServer):
+    """Hands each connection to an idle handler thread; requests share the
+    app's locks.
 
-    daemon_threads = True
+    A new thread starts only when none is idle, and threads are never
+    capped, so a long events stream never delays a hot answer.  Handler
+    threads are daemons, so a stalled client never holds up process exit.
+    """
+
     allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], app: ServeApp):
         super().__init__(address, _ServeHandler)
         self.app = app
+        # Each thread counted in _idle takes exactly one item off _pending:
+        # a connection, or None once the server has closed.
+        self._pending: queue.SimpleQueue = queue.SimpleQueue()
+        self._idle = 0
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+                self._pending.put((request, client_address))
+                return
+        threading.Thread(
+            target=self._handler_loop,
+            args=(request, client_address),
+            name="serve-handler",
+            daemon=True,
+        ).start()
+
+    def _handler_loop(self, request, client_address) -> None:
+        while True:
+            # What ThreadingMixIn.process_request_thread does per request.
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 — handle_error reports it
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._lock:
+                if self._closed:
+                    return
+                self._idle += 1
+            work = self._pending.get()
+            if work is None:
+                return
+            request, client_address = work
+
+    def server_close(self) -> None:
+        """Close the socket and end the idle handler threads; a busy one
+        ends when its request does."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, 0
+        for _ in range(idle):
+            self._pending.put(None)
 
 
 def build_server(

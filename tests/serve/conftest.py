@@ -2,8 +2,8 @@
 
 The suite drives :class:`~repro.serve.app.ServeApp` both directly
 (route handlers are plain methods) and over a real
-``ThreadingHTTPServer`` bound to port 0 on loopback, with a tiny
-urllib client.  Scenarios reuse the fabric suite's cheap star-search
+:class:`~repro.serve.app.ReproServer` bound to port 0 on loopback, with a
+tiny urllib client.  Scenarios reuse the fabric suite's cheap star-search
 shape — sub-millisecond trials, so real fabric fleets and real HTTP
 round trips stay fast.
 """

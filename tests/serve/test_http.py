@@ -1,12 +1,66 @@
-"""The serve API over a real socket: routing, tiers, streaming, drain."""
+"""The serve API over a real socket: routing, tiers, streaming, drain,
+handler threads."""
 
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
+import urllib.request
+from urllib.parse import urlsplit
 
+import repro
 from repro.fabric.serialize import scenario_to_dict
 from repro.runtime import run_scenario
+from repro.serve import build_server
 from repro.serve.api import protocols_payload, scenarios_payload
+
+HEALTHZ = b"GET /healthz HTTP/1.0\r\n\r\n"
+
+
+def _address(client) -> tuple[str, int]:
+    parts = urlsplit(client.base)
+    return parts.hostname, parts.port
+
+
+def _serve_in_thread(app):
+    server = build_server(app, "127.0.0.1", 0)
+    loop = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
+    loop.start()
+    return server, loop
+
+
+def _close(server, loop, handlers) -> list:
+    """Stop and close the server; the handler threads still alive after."""
+    server.shutdown()
+    server.server_close()
+    loop.join(timeout=10)
+    assert not loop.is_alive()
+    deadline = time.monotonic() + 10
+    for thread in handlers:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    return [thread for thread in handlers if thread.is_alive()]
+
+
+def _raw_exchange(address, data: bytes) -> tuple[int, dict]:
+    """Send raw bytes, read the reply to EOF: (status, JSON body)."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 class TestCatalogueEndpoints:
@@ -44,6 +98,15 @@ class TestCatalogueEndpoints:
         status, payload = client.post("/v1/runs", {"overrides": {}})
         assert status == 400
         assert payload["error"]["code"] == "missing_scenario"
+
+    def test_malformed_content_length_is_structured_400(self, client):
+        status, payload = _raw_exchange(
+            _address(client),
+            b"POST /v1/runs HTTP/1.0\r\nContent-Length: abc\r\n\r\n{}",
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert "Content-Length" in payload["error"]["message"]
 
 
 class TestRunFlow:
@@ -209,3 +272,123 @@ class TestDrain:
         job_dir = tmp_path / "fabric" / payload["job"]
         assert not list((job_dir / "leases").glob("p*.json"))
         assert signal.getsignal(signal.SIGTERM) is not None
+
+
+class TestHandlerThreads:
+    def test_sequential_requests_reuse_handler_threads(
+        self, client, serve_app, monkeypatch
+    ):
+        seen = []
+        health = serve_app.health
+
+        def recording_health():
+            seen.append(threading.current_thread())
+            return health()
+
+        monkeypatch.setattr(serve_app, "health", recording_health)
+        for _ in range(50):
+            assert client.get("/healthz")[0] == 200
+        assert len(seen) == 50
+        # One client waits for each reply, so at most one thread is busy
+        # when the next connection arrives: a second thread starts only
+        # if the first has not yet gone idle.
+        assert len(set(seen)) <= 2
+
+    def test_hot_answer_while_a_connection_stalls(
+        self, client, serve_app, make_scenario
+    ):
+        hot = make_scenario()
+        run_scenario(hot, jobs=1, store=serve_app.store)
+        with socket.create_connection(_address(client), timeout=10) as stalled:
+            stalled.sendall(
+                b"POST /v1/runs HTTP/1.0\r\nContent-Length: 100\r\n\r\n{"
+            )
+            # Connections are accepted in order, so once this answers the
+            # stalled one has a handler blocked on its missing body.
+            assert client.get("/healthz")[0] == 200
+            started = time.monotonic()
+            status, payload = client.post(
+                "/v1/runs", {"scenario": scenario_to_dict(hot)}
+            )
+            assert time.monotonic() - started < 5.0
+        assert (status, payload["tier"]) == (200, "store")
+
+    def test_server_close_ends_handler_threads(self, serve_app):
+        before = set(threading.enumerate())
+        server, loop = _serve_in_thread(serve_app)
+        address = server.server_address[:2]
+        with socket.create_connection(address, timeout=10) as stalled:
+            stalled.sendall(b"GET /heal")
+            for _ in range(5):
+                assert _raw_exchange(address, HEALTHZ)[0] == 200
+            handlers = set(threading.enumerate()) - before - {loop}
+            # The stalled connection's thread, and an idle one or more.
+            assert len(handlers) >= 2
+        assert _close(server, loop, handlers) == []
+
+    def test_concurrent_clients_are_all_answered(self, serve_app):
+        """More clients than cores, switching threads often: every request
+        is answered, and every handler thread ends on close."""
+        before = set(threading.enumerate())
+        server, loop = _serve_in_thread(serve_app)
+        address = server.server_address[:2]
+        statuses = []
+
+        def one_client() -> None:
+            for _ in range(20):
+                statuses.append(_raw_exchange(address, HEALTHZ)[0])
+
+        clients = [threading.Thread(target=one_client) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [thread for thread in clients if thread.is_alive()]
+        assert statuses == [200] * 160
+        handlers = set(threading.enumerate()) - before - {loop}
+        assert _close(server, loop, handlers) == []
+
+    def test_sigterm_exits_with_a_silent_client_connected(self, tmp_path):
+        """Handler threads are daemons: one blocked on a client that never
+        sends does not hold up the drained process's exit."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            pathlib.Path(repro.__file__).resolve().parents[1]
+        )
+        log = open(tmp_path / "serve.log", "w")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--host", "127.0.0.1", "--port", "0", "--workers", "1",
+                "--fabric-dir", str(tmp_path / "fabric"),
+                "--store", str(tmp_path / "store"),
+            ],
+            cwd=tmp_path,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=log,
+            text=True,
+        )
+        try:
+            line = process.stdout.readline()
+            host, port = line.split("http://")[1].split()[0].split(":")
+            with socket.create_connection((host, int(port)), timeout=10):
+                # Accepted in order: after this answer, a handler thread
+                # is blocked on the silent connection.
+                with urllib.request.urlopen(
+                    f"http://{host}:{port}/healthz", timeout=10
+                ) as response:
+                    assert response.status == 200
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+            log.close()
