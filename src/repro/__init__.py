@@ -7,7 +7,9 @@ search, quantum counting, search via quantum walk), its five protocols
 the classical baselines they are measured against, and the CONGEST network
 substrate underneath.  README.md's Architecture section maps the layers, its
 Experiments section tabulates the reproduced claims E1–E12, and
-EXPERIMENTS.md records the measured results.
+EXPERIMENTS.md records the measured results.  Every package's public names
+import their defining module on first access (:mod:`repro._lazy`), so a
+run loads only the protocols it uses.
 
 Quickstart::
 
@@ -18,97 +20,49 @@ Quickstart::
     print(result.leader, result.messages, result.rounds)
 """
 
-from repro.adversary import AdversarySpec
-from repro.classical import (
-    classical_agreement_private,
-    classical_agreement_shared,
-    classical_le_complete,
-    classical_le_diameter2,
-    classical_le_general,
-    classical_le_mixing,
-    classical_mst,
-    hirschberg_sinclair_ring,
-    lcr_ring,
-)
-from repro.core import (
-    AgreementResult,
-    LeaderElectionResult,
-    approx_count,
-    distributed_grover_search,
-    quantum_count,
-    quantum_minimum,
-    walk_search,
-)
-from repro.core.agreement import quantum_agreement
-from repro.core.leader_election import (
-    MSTResult,
-    QWLEParameters,
-    make_explicit,
-    quantum_general_le,
-    quantum_le_complete,
-    quantum_mst,
-    quantum_qwle,
-    quantum_rwle,
-)
-from repro.quantum import exact_star_grover
-from repro.network import MetricsRecorder, Status
-from repro.runtime import (
-    ProtocolRegistry,
-    ProtocolSpec,
-    Scenario,
-    ScenarioRun,
-    TopologySpec,
-    TrialOutcome,
-    TrialSet,
-    default_registry,
-    get_scenario,
-    run_scenario,
-)
-from repro.util import FaultInjector, RandomSource, SharedCoin
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "AdversarySpec",
-    "AgreementResult",
-    "FaultInjector",
-    "LeaderElectionResult",
-    "MSTResult",
-    "MetricsRecorder",
-    "ProtocolRegistry",
-    "ProtocolSpec",
-    "QWLEParameters",
-    "RandomSource",
-    "Scenario",
-    "ScenarioRun",
-    "SharedCoin",
-    "Status",
-    "TopologySpec",
-    "TrialOutcome",
-    "TrialSet",
-    "approx_count",
-    "classical_agreement_private",
-    "classical_agreement_shared",
-    "classical_le_complete",
-    "classical_le_diameter2",
-    "classical_le_general",
-    "classical_le_mixing",
-    "classical_mst",
-    "default_registry",
-    "distributed_grover_search",
-    "exact_star_grover",
-    "get_scenario",
-    "hirschberg_sinclair_ring",
-    "lcr_ring",
-    "make_explicit",
-    "quantum_agreement",
-    "quantum_count",
-    "quantum_general_le",
-    "quantum_le_complete",
-    "quantum_minimum",
-    "quantum_mst",
-    "quantum_qwle",
-    "quantum_rwle",
-    "run_scenario",
-    "walk_search",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.adversary.spec": ("AdversarySpec",),
+        "repro.classical.agreement.amp18": (
+            "classical_agreement_private",
+            "classical_agreement_shared",
+        ),
+        "repro.classical.leader_election.complete_kpp": ("classical_le_complete",),
+        "repro.classical.leader_election.diameter2_cpr": ("classical_le_diameter2",),
+        "repro.classical.leader_election.general_ghs": ("classical_le_general",),
+        "repro.classical.leader_election.mixing_rw": ("classical_le_mixing",),
+        "repro.classical.leader_election.ring": ("hirschberg_sinclair_ring", "lcr_ring"),
+        "repro.classical.mst_boruvka": ("classical_mst",),
+        "repro.core.counting": ("approx_count", "quantum_count"),
+        "repro.core.grover": ("distributed_grover_search",),
+        "repro.core.minimum": ("quantum_minimum",),
+        "repro.core.results": ("AgreementResult", "LeaderElectionResult"),
+        "repro.core.walk_search": ("walk_search",),
+        "repro.core.agreement.quantum_agreement": ("quantum_agreement",),
+        "repro.core.leader_election.complete": ("quantum_le_complete",),
+        "repro.core.leader_election.diameter2": ("QWLEParameters", "quantum_qwle"),
+        "repro.core.leader_election.explicit": ("make_explicit",),
+        "repro.core.leader_election.general": ("quantum_general_le",),
+        "repro.core.leader_election.mixing": ("quantum_rwle",),
+        "repro.core.leader_election.mst": ("MSTResult", "quantum_mst"),
+        "repro.quantum.exact_grover": ("exact_star_grover",),
+        "repro.network.metrics": ("MetricsRecorder",),
+        "repro.network.node": ("Status",),
+        "repro.runtime.catalog": ("get_scenario",),
+        "repro.runtime.registry": (
+            "ProtocolRegistry",
+            "ProtocolSpec",
+            "TrialOutcome",
+            "default_registry",
+        ),
+        "repro.runtime.runner": ("ScenarioRun", "TrialSet", "run_scenario"),
+        "repro.runtime.scenario": ("Scenario", "TopologySpec"),
+        "repro.util.fault": ("FaultInjector",),
+        "repro.util.rng": ("RandomSource", "SharedCoin"),
+    },
+)

@@ -25,23 +25,19 @@ path — property tests assert bit-identical trial results across the
 and adaptive alike.
 """
 
-from repro.adversary.adaptive import AdaptiveAdversary
-from repro.adversary.armed import ArmedAdversary
-from repro.adversary.inputs import adversarial_inputs, benign_inputs
-from repro.adversary.spec import (
-    ADAPTIVE_STRATEGIES,
-    INPUT_SCHEDULES,
-    NULL_ADVERSARY,
-    AdversarySpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ADAPTIVE_STRATEGIES",
-    "INPUT_SCHEDULES",
-    "NULL_ADVERSARY",
-    "AdaptiveAdversary",
-    "AdversarySpec",
-    "ArmedAdversary",
-    "adversarial_inputs",
-    "benign_inputs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.adversary.adaptive": ("AdaptiveAdversary",),
+        "repro.adversary.armed": ("ArmedAdversary",),
+        "repro.adversary.inputs": ("adversarial_inputs", "benign_inputs"),
+        "repro.adversary.spec": (
+            "ADAPTIVE_STRATEGIES",
+            "INPUT_SCHEDULES",
+            "NULL_ADVERSARY",
+            "AdversarySpec",
+        ),
+    },
+)

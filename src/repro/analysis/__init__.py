@@ -1,20 +1,17 @@
 """Measurement harness: scaling runs, power-law fits, tables, experiment registry."""
 
-from repro.analysis.experiments import EXPERIMENTS, Experiment, get_experiment
-from repro.analysis.fitting import PowerLawFit, crossover_estimate, fit_power_law
-from repro.analysis.scaling import ScalingPoint, ScalingSeries, measure_scaling
-from repro.analysis.tables import comparison_table, render_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "Experiment",
-    "PowerLawFit",
-    "ScalingPoint",
-    "ScalingSeries",
-    "comparison_table",
-    "crossover_estimate",
-    "fit_power_law",
-    "get_experiment",
-    "measure_scaling",
-    "render_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.experiments": ("EXPERIMENTS", "Experiment", "get_experiment"),
+        "repro.analysis.fitting": (
+            "PowerLawFit",
+            "crossover_estimate",
+            "fit_power_law",
+        ),
+        "repro.analysis.scaling": ("ScalingPoint", "ScalingSeries", "measure_scaling"),
+        "repro.analysis.tables": ("comparison_table", "render_table"),
+    },
+)

@@ -1,24 +1,20 @@
 """Classical leader-election baselines."""
 
-from repro.classical.leader_election.complete_kpp import (
-    classical_le_complete,
-    default_referees_complete,
-)
-from repro.classical.leader_election.diameter2_cpr import classical_le_diameter2
-from repro.classical.leader_election.general_ghs import classical_le_general
-from repro.classical.leader_election.mixing_rw import (
-    classical_le_mixing,
-    default_walks_mixing,
-)
-from repro.classical.leader_election.ring import hirschberg_sinclair_ring, lcr_ring
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "classical_le_complete",
-    "classical_le_diameter2",
-    "classical_le_general",
-    "classical_le_mixing",
-    "default_referees_complete",
-    "default_walks_mixing",
-    "hirschberg_sinclair_ring",
-    "lcr_ring",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.classical.leader_election.complete_kpp": (
+            "classical_le_complete",
+            "default_referees_complete",
+        ),
+        "repro.classical.leader_election.diameter2_cpr": ("classical_le_diameter2",),
+        "repro.classical.leader_election.general_ghs": ("classical_le_general",),
+        "repro.classical.leader_election.mixing_rw": (
+            "classical_le_mixing",
+            "default_walks_mixing",
+        ),
+        "repro.classical.leader_election.ring": ("hirschberg_sinclair_ring", "lcr_ring"),
+    },
+)

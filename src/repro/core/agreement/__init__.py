@@ -1,9 +1,14 @@
 """Quantum implicit agreement (Section 6)."""
 
-from repro.core.agreement.quantum_agreement import (
-    default_epsilon,
-    default_gamma,
-    quantum_agreement,
-)
+from repro._lazy import lazy_exports
 
-__all__ = ["default_epsilon", "default_gamma", "quantum_agreement"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.agreement.quantum_agreement": (
+            "default_epsilon",
+            "default_gamma",
+            "quantum_agreement",
+        ),
+    },
+)

@@ -1,34 +1,26 @@
 """Quantum leader-election protocols (Sections 5.1–5.4)."""
 
-from repro.core.leader_election.complete import (
-    default_k_complete,
-    quantum_le_complete,
-)
-from repro.core.leader_election.diameter2 import (
-    QWLEParameters,
-    default_k_diameter2,
-    quantum_qwle,
-)
-from repro.core.leader_election.explicit import make_explicit
-from repro.core.leader_election.general import quantum_general_le
-from repro.core.leader_election.mixing import (
-    CHECKING_MODES,
-    default_k_mixing,
-    quantum_rwle,
-)
-from repro.core.leader_election.mst import MSTResult, quantum_mst
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHECKING_MODES",
-    "MSTResult",
-    "QWLEParameters",
-    "default_k_complete",
-    "default_k_diameter2",
-    "default_k_mixing",
-    "make_explicit",
-    "quantum_general_le",
-    "quantum_le_complete",
-    "quantum_mst",
-    "quantum_qwle",
-    "quantum_rwle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.leader_election.complete": (
+            "default_k_complete",
+            "quantum_le_complete",
+        ),
+        "repro.core.leader_election.diameter2": (
+            "QWLEParameters",
+            "default_k_diameter2",
+            "quantum_qwle",
+        ),
+        "repro.core.leader_election.explicit": ("make_explicit",),
+        "repro.core.leader_election.general": ("quantum_general_le",),
+        "repro.core.leader_election.mixing": (
+            "CHECKING_MODES",
+            "default_k_mixing",
+            "quantum_rwle",
+        ),
+        "repro.core.leader_election.mst": ("MSTResult", "quantum_mst"),
+    },
+)

@@ -22,48 +22,35 @@ injection (mid-shard SIGKILL, corrupted leases, double claims) in
 ``tests/fabric/``.
 """
 
-from repro.fabric.coordinator import (
-    collect,
-    elect_reaper,
-    fabric_status,
-    run_fabric_sweep,
-    shard_preference,
-)
-from repro.fabric.queue import (
-    DEFAULT_LEASE_TTL,
-    FabricQueue,
-    IncompleteSweepError,
-    list_jobs,
-)
-from repro.fabric.serialize import (
-    adversary_from_dict,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from repro.fabric.worker import (
-    FaultPlan,
-    execute_shard,
-    run_worker,
-    shard_trial_rngs,
-    worker_entry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LEASE_TTL",
-    "FabricQueue",
-    "FaultPlan",
-    "IncompleteSweepError",
-    "adversary_from_dict",
-    "collect",
-    "elect_reaper",
-    "execute_shard",
-    "fabric_status",
-    "list_jobs",
-    "run_fabric_sweep",
-    "run_worker",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "shard_preference",
-    "shard_trial_rngs",
-    "worker_entry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fabric.coordinator": (
+            "collect",
+            "elect_reaper",
+            "fabric_status",
+            "run_fabric_sweep",
+            "shard_preference",
+        ),
+        "repro.fabric.queue": (
+            "DEFAULT_LEASE_TTL",
+            "FabricQueue",
+            "IncompleteSweepError",
+            "list_jobs",
+        ),
+        "repro.fabric.serialize": (
+            "adversary_from_dict",
+            "scenario_from_dict",
+            "scenario_to_dict",
+        ),
+        "repro.fabric.worker": (
+            "FaultPlan",
+            "execute_shard",
+            "run_worker",
+            "shard_trial_rngs",
+            "worker_entry",
+        ),
+    },
+)

@@ -17,61 +17,41 @@ memo (:meth:`TopologySpec.build_cached`) and the on-disk
 and extend grids incrementally.
 """
 
-from repro.adversary import AdversarySpec
-from repro.runtime.catalog import (
-    EXPERIMENT_SWEEPS,
-    SCENARIOS,
-    experiment_pair,
-    get_scenario,
-)
-from repro.runtime.registry import (
-    ProtocolRegistry,
-    ProtocolSpec,
-    TrialOutcome,
-    default_registry,
-    register_builtin_protocols,
-)
-from repro.runtime.runner import (
-    ScenarioRun,
-    TrialSet,
-    aggregate_trials,
-    fan_out,
-    resolve_jobs,
-    run_scenario,
-)
-from repro.runtime.scenario import (
-    TOPOLOGY_FAMILIES,
-    Scenario,
-    TopologyFamily,
-    TopologySpec,
-    clear_topology_memo,
-    topology_family,
-)
-from repro.runtime.store import DEFAULT_CACHE_DIR, ResultStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdversarySpec",
-    "DEFAULT_CACHE_DIR",
-    "EXPERIMENT_SWEEPS",
-    "ProtocolRegistry",
-    "ProtocolSpec",
-    "ResultStore",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioRun",
-    "TOPOLOGY_FAMILIES",
-    "TopologyFamily",
-    "TopologySpec",
-    "TrialOutcome",
-    "TrialSet",
-    "aggregate_trials",
-    "clear_topology_memo",
-    "default_registry",
-    "experiment_pair",
-    "fan_out",
-    "get_scenario",
-    "register_builtin_protocols",
-    "resolve_jobs",
-    "run_scenario",
-    "topology_family",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.adversary.spec": ("AdversarySpec",),
+        "repro.runtime.catalog": (
+            "EXPERIMENT_SWEEPS",
+            "SCENARIOS",
+            "experiment_pair",
+            "get_scenario",
+        ),
+        "repro.runtime.registry": (
+            "ProtocolRegistry",
+            "ProtocolSpec",
+            "TrialOutcome",
+            "default_registry",
+            "register_builtin_protocols",
+        ),
+        "repro.runtime.runner": (
+            "ScenarioRun",
+            "TrialSet",
+            "aggregate_trials",
+            "fan_out",
+            "resolve_jobs",
+            "run_scenario",
+        ),
+        "repro.runtime.scenario": (
+            "TOPOLOGY_FAMILIES",
+            "Scenario",
+            "TopologyFamily",
+            "TopologySpec",
+            "clear_topology_memo",
+            "topology_family",
+        ),
+        "repro.runtime.store": ("DEFAULT_CACHE_DIR", "ResultStore"),
+    },
+)

@@ -21,42 +21,29 @@ Split by concern:
   SIGTERM drain.
 """
 
-from repro.serve.api import (
-    ApiError,
-    job_payload,
-    parse_run_request,
-    protocols_payload,
-    run_payload,
-    scenario_entry,
-    scenarios_payload,
-)
-from repro.serve.app import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    ReproServer,
-    ServeApp,
-    build_server,
-    serve_forever,
-)
-from repro.serve.cache import RunCache, scenario_key
-from repro.serve.jobs import JobTable, ServeJob
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ApiError",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "JobTable",
-    "ReproServer",
-    "RunCache",
-    "ServeApp",
-    "ServeJob",
-    "build_server",
-    "job_payload",
-    "parse_run_request",
-    "protocols_payload",
-    "run_payload",
-    "scenario_entry",
-    "scenario_key",
-    "scenarios_payload",
-    "serve_forever",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.api": (
+            "ApiError",
+            "job_payload",
+            "parse_run_request",
+            "protocols_payload",
+            "run_payload",
+            "scenario_entry",
+            "scenarios_payload",
+        ),
+        "repro.serve.app": (
+            "DEFAULT_HOST",
+            "DEFAULT_PORT",
+            "ReproServer",
+            "ServeApp",
+            "build_server",
+            "serve_forever",
+        ),
+        "repro.serve.cache": ("RunCache", "scenario_key"),
+        "repro.serve.jobs": ("JobTable", "ServeJob"),
+    },
+)

@@ -56,6 +56,11 @@ __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ServeApp", "build_server", "serve_fo
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 
+#: Largest request body read, in bytes.  A run request is a serialized
+#: scenario of a few KB; a longer declared Content-Length answers 413
+#: before any read, since a buffered read allocates the whole length.
+MAX_BODY_BYTES = 1 << 20
+
 _RUN_ROUTE = re.compile(r"/v1/runs/([0-9a-f]{8,64})")
 _EVENTS_ROUTE = re.compile(r"/v1/runs/([0-9a-f]{8,64})/events")
 
@@ -188,6 +193,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
     # HTTP/1.0: every response closes its connection, which is also what
     # ends the SSE stream — no chunked-encoding bookkeeping needed.
     protocol_version = "HTTP/1.0"
+    # Seconds a socket read or write may block.  A client that sends
+    # nothing, or half a body, loses its connection after this, and its
+    # handler thread goes back to idle.
+    timeout = 30.0
 
     @property
     def app(self) -> ServeApp:
@@ -241,6 +250,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
             self._send_json(status, error.payload())
         except (BrokenPipeError, ConnectionResetError):
             status = 499  # client went away mid-write; nothing to send
+        except TimeoutError:
+            # The client stalled: handle_one_request drops the connection.
+            status = 408
+            raise
         except Exception as exc:  # noqa: BLE001 — must answer, not die
             logger.exception("unhandled error on %s %s", method, path)
             status = 500
@@ -286,20 +299,30 @@ class _ServeHandler(BaseHTTPRequestHandler):
             raise ApiError("not_found", f"no route for GET {path}", status=404)
         if method == "POST":
             if path == "/v1/runs":
-                raw_length = self.headers.get("Content-Length") or "0"
-                try:
-                    length = int(raw_length)
-                except ValueError:
-                    raise ApiError(
-                        "bad_request",
-                        f"Content-Length {raw_length!r} is not an integer",
-                    ) from None
-                body = self.rfile.read(length) if length > 0 else b""
-                return app.submit_run(body)
+                return app.submit_run(self._read_body())
             raise ApiError("not_found", f"no route for POST {path}", status=404)
         raise ApiError(
             "method_not_allowed", f"{method} not supported", status=405
         )
+
+    def _read_body(self) -> bytes:
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise ApiError(
+                "bad_request",
+                f"Content-Length {raw_length!r} is not an integer",
+            ) from None
+        if length < 0:
+            raise ApiError("bad_request", f"Content-Length {length} is negative")
+        if length > MAX_BODY_BYTES:
+            raise ApiError(
+                "payload_too_large",
+                f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte limit",
+                status=413,
+            )
+        return self.rfile.read(length) if length else b""
 
     def _stream_events(self, job_id: str) -> int:
         job = self.app.jobs.get(job_id)

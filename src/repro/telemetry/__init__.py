@@ -15,59 +15,39 @@ bare ones (aggregates, store bytes, and store keys alike):
   default (``current_profiler()`` is ``None``).
 """
 
-from .context import (
-    ENV_PROFILE,
-    ENV_TRACE,
-    configure_logging,
-    current_profiler,
-    current_tracer,
-    reset_telemetry,
-    set_profiling,
-    set_trace_path,
-)
-from .profiler import PhaseProfiler, format_profile
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metrics_registry,
-    reset_metrics,
-)
-from .trace import (
-    NULL_TRACER,
-    TRACE_EVENTS,
-    TRACE_SCHEMA_VERSION,
-    JsonlTracer,
-    NullTracer,
-    TraceSchemaError,
-    validate_file,
-    validate_record,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ENV_PROFILE",
-    "ENV_TRACE",
-    "configure_logging",
-    "current_profiler",
-    "current_tracer",
-    "reset_telemetry",
-    "set_profiling",
-    "set_trace_path",
-    "PhaseProfiler",
-    "format_profile",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "metrics_registry",
-    "reset_metrics",
-    "NULL_TRACER",
-    "TRACE_EVENTS",
-    "TRACE_SCHEMA_VERSION",
-    "JsonlTracer",
-    "NullTracer",
-    "TraceSchemaError",
-    "validate_file",
-    "validate_record",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.telemetry.context": (
+            "ENV_PROFILE",
+            "ENV_TRACE",
+            "configure_logging",
+            "current_profiler",
+            "current_tracer",
+            "reset_telemetry",
+            "set_profiling",
+            "set_trace_path",
+        ),
+        "repro.telemetry.profiler": ("PhaseProfiler", "format_profile"),
+        "repro.telemetry.registry": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "metrics_registry",
+            "reset_metrics",
+        ),
+        "repro.telemetry.trace": (
+            "NULL_TRACER",
+            "TRACE_EVENTS",
+            "TRACE_SCHEMA_VERSION",
+            "JsonlTracer",
+            "NullTracer",
+            "TraceSchemaError",
+            "validate_file",
+            "validate_record",
+        ),
+    },
+)

@@ -1,29 +1,21 @@
 """Shared utilities: seeded randomness, math helpers, cost ledger, fault injection."""
 
-from repro.util.fault import FaultInjector
-from repro.util.ledger import CostLedger, LedgerEntry
-from repro.util.mathx import (
-    binomial,
-    ceil_div,
-    ceil_log2,
-    ceil_sqrt,
-    is_power_of_two,
-    log_ceil,
-    polylog,
-)
-from repro.util.rng import RandomSource, SharedCoin
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CostLedger",
-    "FaultInjector",
-    "LedgerEntry",
-    "RandomSource",
-    "SharedCoin",
-    "binomial",
-    "ceil_div",
-    "ceil_log2",
-    "ceil_sqrt",
-    "is_power_of_two",
-    "log_ceil",
-    "polylog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.util.fault": ("FaultInjector",),
+        "repro.util.ledger": ("CostLedger", "LedgerEntry"),
+        "repro.util.mathx": (
+            "binomial",
+            "ceil_div",
+            "ceil_log2",
+            "ceil_sqrt",
+            "is_power_of_two",
+            "log_ceil",
+            "polylog",
+        ),
+        "repro.util.rng": ("RandomSource", "SharedCoin"),
+    },
+)

@@ -15,11 +15,14 @@ import time
 import urllib.request
 from urllib.parse import urlsplit
 
+import pytest
+
 import repro
 from repro.fabric.serialize import scenario_to_dict
 from repro.runtime import run_scenario
 from repro.serve import build_server
 from repro.serve.api import protocols_payload, scenarios_payload
+from repro.serve.app import _ServeHandler
 
 HEALTHZ = b"GET /healthz HTTP/1.0\r\n\r\n"
 
@@ -107,6 +110,24 @@ class TestCatalogueEndpoints:
         assert status == 400
         assert payload["error"]["code"] == "bad_request"
         assert "Content-Length" in payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "length, status, code",
+        [
+            (b"10000000000000", 413, "payload_too_large"),
+            (b"-2", 400, "bad_request"),
+        ],
+    )
+    def test_out_of_range_content_length_is_refused_before_reading(
+        self, client, length, status, code
+    ):
+        reply = _raw_exchange(
+            _address(client),
+            b"POST /v1/runs HTTP/1.0\r\nContent-Length: " + length + b"\r\n\r\n{}",
+        )
+        assert reply[0] == status
+        assert reply[1]["error"]["code"] == code
+        assert "Content-Length" in reply[1]["error"]["message"]
 
 
 class TestRunFlow:
@@ -325,6 +346,39 @@ class TestHandlerThreads:
             # The stalled connection's thread, and an idle one or more.
             assert len(handlers) >= 2
         assert _close(server, loop, handlers) == []
+
+    def test_stalled_clients_are_dropped_and_free_their_thread(
+        self, serve_app, monkeypatch
+    ):
+        """A client that sends nothing, or half a body, loses its connection
+        unanswered after the handler's timeout; the next request is
+        answered on a thread that a stalled client held."""
+        monkeypatch.setattr(_ServeHandler, "timeout", 0.2)
+        seen = []
+        health = serve_app.health
+
+        def recording_health():
+            seen.append(threading.current_thread())
+            return health()
+
+        monkeypatch.setattr(serve_app, "health", recording_health)
+        before = set(threading.enumerate())
+        server, loop = _serve_in_thread(serve_app)
+        address = server.server_address[:2]
+        for stall in (b"", b"POST /v1/runs HTTP/1.0\r\nContent-Length: 100\r\n\r\n{"):
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(stall)
+                assert sock.recv(65536) == b""
+        stalled_on = set(threading.enumerate()) - before - {loop}
+        assert 1 <= len(stalled_on) <= 2
+        # A freed thread counts itself idle just after it closes the
+        # connection; wait for that, or the next request starts a thread.
+        deadline = time.monotonic() + 10
+        while not server._idle and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _raw_exchange(address, HEALTHZ)[0] == 200
+        assert seen[0] in stalled_on
+        assert _close(server, loop, stalled_on) == []
 
     def test_concurrent_clients_are_all_answered(self, serve_app):
         """More clients than cores, switching threads often: every request
