@@ -8,8 +8,8 @@ both programs of a shipped port (ring LCR), pinned with the driver's
 every node list in `ScalarAdapter` and runs it on the same batch core,
 while `backend="reference"` runs it on the one-message-at-a-time oracle
 loop.  The CLI has no such pin: `--engine fast` runs the ports and
-`--engine reference` runs their scalar twins on the oracle, and the
-kernel tier never changes results.
+`--engine reference` runs their scalar twins on the oracle, and
+neither changes a result.
 
 Run with:  PYTHONPATH=src python examples/batch_protocol_demo.py
 """

@@ -27,8 +27,15 @@ from repro.util.rng import RandomSource
 __all__ = ["adversarial_inputs", "benign_inputs"]
 
 
+def _check_fraction(fraction: float) -> None:
+    # Outside [0, 1], int(fraction * n) is no count of ones out of n.
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction!r}")
+
+
 def benign_inputs(n: int, fraction: float) -> list[int]:
     """The library-wide benign convention: int(fraction*n) leading ones."""
+    _check_fraction(fraction)
     ones = int(fraction * n)
     return [1] * ones + [0] * (n - ones)
 
@@ -51,6 +58,7 @@ def adversarial_inputs(
     agreement builders (which arm the same spec on their engine) pass
     ``engine_capable=True`` so a combined input+fault spec flows through.
     """
+    _check_fraction(fraction)
     if spec is None or spec.is_null:
         return benign_inputs(n, fraction)
     unsupported = spec.required_capabilities() - {"inputs"}

@@ -23,7 +23,6 @@ from repro.network.batch import (
     MessageBatch,
 )
 from repro.network.engine import SynchronousEngine, wants_batch_dispatch
-from repro.network.kernels import get_kernels
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Node, Status
@@ -99,7 +98,6 @@ class _CPRBatch(BatchProtocol):
     def __init__(self, n: int, draw: CandidateDraw, degrees: np.ndarray):
         super().__init__(n)
         self.degrees = degrees
-        self.kernels = get_kernels()
         self.is_candidate = np.zeros(n, dtype=bool)
         self.rank = np.zeros(n, dtype=np.int64)
         self.best_seen = np.zeros(n, dtype=np.int64)
@@ -130,7 +128,7 @@ class _CPRBatch(BatchProtocol):
             if not len(inbox):
                 return None
             rec = inbox.receivers
-            self.kernels.scatter_max(self.best_seen, rec, inbox.values)
+            np.maximum.at(self.best_seen, rec, inbox.values)
             return MessageBatch(
                 senders=rec,
                 ports=inbox.ports,
@@ -140,7 +138,7 @@ class _CPRBatch(BatchProtocol):
         if round_index == 2:
             highest = self.best_seen.copy()
             if len(inbox):
-                self.kernels.scatter_max(highest, inbox.receivers, inbox.values)
+                np.maximum.at(highest, inbox.receivers, inbox.values)
             alive = ~self.halted
             candidate = self.is_candidate & alive
             self.status_codes[candidate & (highest > self.rank)] = (

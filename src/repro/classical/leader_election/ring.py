@@ -29,7 +29,6 @@ from repro.network.batch import (
 )
 from repro.network.engine import SynchronousEngine, wants_batch_dispatch
 from repro.network.graphs import cycle
-from repro.network.kernels import get_kernels
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Node, Status
@@ -135,7 +134,6 @@ class _LCRBatch(BatchProtocol):
     def __init__(self, topology, ring_ids: np.ndarray):
         n = topology.n
         super().__init__(n)
-        self.kernels = get_kernels()
         self.ring_id = np.asarray(ring_ids, dtype=np.int64)
         self.cw_port, _ = _ring_port_columns(topology)
 
@@ -162,13 +160,11 @@ class _LCRBatch(BatchProtocol):
         any_halt[rec[halt]] = True
         greater = probe & (inbox.values > self.ring_id[rec])
         best = np.full(n, -1, dtype=np.int64)
-        self.kernels.scatter_max(best, rec[greater], inbox.values[greater])
+        np.maximum.at(best, rec[greater], inbox.values[greater])
         # The scalar per-port collapse keeps the *last* halt a node
         # appended; track each receiver's last inbound halt position.
         last_halt = np.full(n, -1, dtype=np.int64)
-        self.kernels.scatter_max(
-            last_halt, rec[halt], np.arange(len(inbox))[halt]
-        )
+        np.maximum.at(last_halt, rec[halt], np.arange(len(inbox))[halt])
         entering_elected = self.status_codes == STATUS_ELECTED
         # Status transitions (ELECTED absorbs within a round, exactly as
         # the scalar message loop behaves for any inbox interleaving).

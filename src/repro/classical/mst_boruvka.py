@@ -29,7 +29,7 @@ from repro.core.leader_election.clusters import ClusterState
 from repro.core.leader_election.mst import MSTResult, edge_key
 from repro.network.batch import BatchProtocol, MessageBatch
 from repro.network.engine import SynchronousEngine, wants_batch_dispatch
-from repro.network.kernels import get_kernels
+from repro.network.kernels import group_argmin_lex3, scatter_min_lex3
 from repro.network.message import Message
 from repro.network.metrics import MetricsRecorder
 from repro.network.node import Node
@@ -96,7 +96,6 @@ def classical_mst(
     flat_a = np.minimum(flat_sender, flat_nbr)
     flat_b = np.maximum(flat_sender, flat_nbr)
     flat_w = _flat_weights(weights, flat_a, flat_b)
-    kernels = get_kernels()
 
     while state.count > 1 and phases < phase_limit:
         phases += 1
@@ -108,7 +107,7 @@ def classical_mst(
             (state.cluster_id(v) for v in range(n)), dtype=np.int64, count=n
         )
         valid = np.nonzero(cids[flat_sender] != cids[flat_nbr])[0]
-        pos = kernels.group_argmin_lex3(
+        pos = group_argmin_lex3(
             cids[flat_sender[valid]],
             flat_w[valid],
             flat_a[valid],
@@ -315,15 +314,15 @@ class _BoruvkaBatch(BatchProtocol):
     All adjacency lives in flat port-major rows (sender, port, neighbour,
     normalized endpoints, weight) built once from the cached port table;
     tree membership is a boolean over those rows.  Gather folds use the
-    kernel tier's lexicographic scatter-min, announce recording and
-    merge-label folds its plain scatters — every fold commutative, so
-    vector order matches the scalar node's sequential inbox loop exactly.
+    lexicographic scatter-min of :mod:`repro.network.kernels`, announce
+    recording and merge-label folds plain numpy scatters — every fold
+    commutative, so vector order matches the scalar node's sequential
+    inbox loop exactly.
     """
 
     def __init__(self, topology, flat, flat_a, flat_b, flat_w):
         n = topology.n
         super().__init__(n)
-        self.kernels = get_kernels()
         degrees, offsets, flat_sender, flat_port, _ = flat
         self.offsets = offsets
         self.flat_sender = flat_sender
@@ -413,7 +412,7 @@ class _BoruvkaBatch(BatchProtocol):
         mask = inbox.kinds == _BV_GATHER
         if not mask.any():
             return
-        self.kernels.scatter_min_lex3(
+        scatter_min_lex3(
             self.best_w,
             self.best_a,
             self.best_b,
@@ -429,7 +428,7 @@ class _BoruvkaBatch(BatchProtocol):
         mask = inbox.kinds == _BV_MERGE
         if not mask.any():
             return
-        self.kernels.scatter_min(
+        np.minimum.at(
             self.merge_value, inbox.receivers[mask], inbox.values[mask]
         )
 
@@ -468,7 +467,7 @@ class _BoruvkaBatch(BatchProtocol):
             valid = np.nonzero(
                 (self._ncl >= 0) & (self._ncl != self.cluster[self.flat_sender])
             )[0]
-            pos = self.kernels.group_argmin_lex3(
+            pos = group_argmin_lex3(
                 self.flat_sender[valid],
                 self.flat_w[valid],
                 self.flat_a[valid],

@@ -39,13 +39,8 @@ Commands:
 runs each protocol's array-native
 :class:`~repro.network.batch.BatchProtocol` port on the engine's array
 dispatch core, ``reference`` runs its scalar twin on the
-one-message-at-a-time oracle loop.  ``elect``, ``agree``, and ``sweep``
-accept ``--kernel {auto,numba,numpy}`` (env ``REPRO_KERNEL``) selecting
-the compiled-kernel tier behind the fast core's PortTable gathers:
-``auto`` uses numba when importable, ``numpy`` is the always-available
-fallback, and an explicit ``numba`` errors out when numba is missing
-rather than silently degrading.  Neither the backend nor the kernel tier
-ever changes a result, so neither is part of a result-cache key.
+one-message-at-a-time oracle loop.  The backend never changes a
+result, so it is not part of a result-cache key.
 
 ``sweep`` additionally accepts ``--fabric DIR --workers N``: instead of
 the in-process pool, the grid is laid out as shards in a work-queue
@@ -102,20 +97,38 @@ def _apply_engine(args) -> str:
     return engine
 
 
-def _apply_kernel(kernel: str | None) -> str:
-    """Select the kernel tier process-wide; returns the resolved tier.
+def _non_negative_int(text: str) -> int:
+    """argparse type of ``--seed`` on elect and agree (exit 2 below 0)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return value
 
-    Raises RuntimeError for an explicit ``numba`` request when numba is
-    not installed — an explicit request never silently degrades.
-    """
-    from repro.network.kernels import resolve_kernel
 
-    resolved = resolve_kernel(kernel)
-    # Only export after a successful resolve: a rejected explicit request
-    # must not poison the process-wide default for later commands.
-    if kernel is not None:
-        os.environ["REPRO_KERNEL"] = kernel
-    return resolved
+def _unit_fraction(text: str) -> float:
+    """argparse type of ``agree --fraction``: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in [0, 1], got {text!r}"
+        )
+    return value
+
+
+def _build_topology(spec, n: int, rng):
+    """Build ``spec`` at ``n``; families that draw per trial draw from
+    ``rng``.  A family that refuses ``n`` raises ValueError."""
+    if spec.consumes_trial_rng:
+        return spec.build(n, rng.spawn())
+    return spec.build(n)
 
 
 def _adversary_from_args(args):
@@ -171,18 +184,6 @@ def _add_engine_flag(parser) -> None:
         "core; 'reference' runs their scalar twins on the "
         "one-message-at-a-time oracle loop and records no per-phase "
         "profile; both give the same results",
-    )
-
-
-def _add_kernel_flag(parser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "numba", "numpy"),
-        default=None,
-        help="kernel tier for the engine's array primitives: 'numba' "
-        "requires the optional numba dependency, 'numpy' is the "
-        "always-available bit-identical fallback, 'auto' (default, or "
-        "the REPRO_KERNEL env var) picks numba when installed",
     )
 
 
@@ -309,14 +310,14 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_elect_single(args, engine: str, kernel: str) -> int:
+def _cmd_elect_single(args, engine: str) -> int:
     """Single-protocol elect: any registered protocol on any family.
 
     The million-node path: ``repro elect le-ring/lcr --topology cycle
-    -n 1000000 --kernel auto`` runs one protocol without the paired
-    quantum/classical comparison (and without materializing edges on
-    arithmetic port-table families).  ``engine`` and ``kernel`` are the
-    resolved backend and kernel tier, printed with the result.
+    -n 1000000`` runs one protocol without the paired quantum/classical
+    comparison (and without materializing edges on arithmetic port-table
+    families).  ``engine`` is the resolved backend, printed with the
+    result.
     """
     from repro.runtime import TopologySpec, default_registry
     from repro.runtime.scenario import TOPOLOGY_FAMILIES
@@ -348,15 +349,13 @@ def _cmd_elect_single(args, engine: str, kernel: str) -> int:
     params = {} if adversary is None else {"adversary": adversary}
 
     rng = RandomSource(args.seed)
-    topo_spec = TopologySpec(family)
-    if topo_spec.consumes_trial_rng:
-        topology = topo_spec.build(args.n, rng.spawn())
-    else:
-        topology = topo_spec.build(args.n)
+    try:
+        topology = _build_topology(TopologySpec(family), args.n, rng)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     outcome = spec.run(topology, rng.spawn(), **params)
-    # The reference oracle loop uses no kernel tier.
-    run_note = f"engine {engine}" + (f", kernel {kernel}" if engine == "fast" else "")
-    print(f"{spec.name} on {family}, n={topology.n} ({run_note})")
+    print(f"{spec.name} on {family}, n={topology.n} (engine {engine})")
     detail = " ".join(
         f"{key}={value}" for key, value in sorted(outcome.detail.items())
     )
@@ -374,12 +373,11 @@ def _cmd_elect(args) -> int:
     _apply_telemetry(args)
     try:
         engine = _apply_engine(args)
-        kernel = _apply_kernel(args.kernel)
-    except (RuntimeError, ValueError) as error:
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     if args.protocol is not None:
-        return _cmd_elect_single(args, engine, kernel)
+        return _cmd_elect_single(args, engine)
     if args.topology is not None and args.topology not in ELECT_SETUPS:
         print(
             f"paired elect does not support --topology {args.topology!r}: "
@@ -413,11 +411,11 @@ def _cmd_elect(args) -> int:
             file=sys.stderr,
         )
 
-    spec = TopologySpec(family, topo_params)
-    if spec.consumes_trial_rng:
-        topology = spec.build(args.n, rng.spawn())
-    else:
-        topology = spec.build(args.n)
+    try:
+        topology = _build_topology(TopologySpec(family, topo_params), args.n, rng)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     n = topology.n
     if topology_key == "hypercube":
         if n != args.n:
@@ -452,13 +450,12 @@ def _cmd_agree(args) -> int:
     _apply_telemetry(args)
     try:
         engine = _apply_engine(args)
-        _apply_kernel(args.kernel)
-    except (RuntimeError, ValueError) as error:
+        topology = CompleteTopology(args.n)
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     registry = default_registry()
     rng = RandomSource(args.seed)
-    topology = CompleteTopology(args.n)
     try:
         adversary = _adversary_from_args(args)
         if adversary is not None and adversary.is_null:
@@ -589,8 +586,7 @@ def _cmd_sweep(args) -> int:
     _apply_telemetry(args)
     try:
         _apply_engine(args)
-        _apply_kernel(args.kernel)
-    except (RuntimeError, ValueError) as error:
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     # --no-cache skips the result store only: the per-worker topology
@@ -831,11 +827,6 @@ def _cmd_fabric(args) -> int:
 
 def _cmd_serve(args) -> int:
     _apply_telemetry(args)
-    try:
-        _apply_kernel(args.kernel)
-    except (ValueError, RuntimeError) as error:
-        print(error, file=sys.stderr)
-        return 2
     from repro.runtime import ResultStore
     from repro.serve import ServeApp, serve_forever
 
@@ -882,9 +873,8 @@ def _cmd_metrics(args) -> int:
     registry = metrics_registry()
     if args.scenario is not None:
         try:
-            _apply_kernel(args.kernel)
             sizes = _parse_sizes(args.sizes)
-        except (ValueError, RuntimeError) as error:
+        except ValueError as error:
             print(error, file=sys.stderr)
             return 2
         from repro.runtime import get_scenario, run_scenario
@@ -1064,8 +1054,7 @@ def _cmd_profile(args) -> int:
     set_profiling(True)
     try:
         _apply_engine(args)
-        _apply_kernel(args.kernel)
-    except (RuntimeError, ValueError) as error:
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     try:
@@ -1184,18 +1173,16 @@ def build_parser() -> argparse.ArgumentParser:
         f"(e.g. cycle)",
     )
     elect.add_argument("-n", "--n", type=int, default=1024)
-    elect.add_argument("--seed", type=int, default=0)
+    elect.add_argument("--seed", type=_non_negative_int, default=0)
     _add_engine_flag(elect)
-    _add_kernel_flag(elect)
     _add_adversary_flags(elect)
     _add_telemetry_flags(elect)
     elect.set_defaults(handler=_cmd_elect)
 
     agree = commands.add_parser("agree", help="run implicit agreement")
     agree.add_argument("--n", type=int, default=4096)
-    agree.add_argument("--fraction", type=float, default=0.3)
-    agree.add_argument("--seed", type=int, default=0)
-    _add_kernel_flag(agree)
+    agree.add_argument("--fraction", type=_unit_fraction, default=0.3)
+    agree.add_argument("--seed", type=_non_negative_int, default=0)
     _add_adversary_flags(agree)
     _add_telemetry_flags(agree)
     agree.set_defaults(handler=_cmd_agree)
@@ -1258,7 +1245,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker index W after T executed trials (default 1); the sweep "
         "must still resume to completion",
     )
-    _add_kernel_flag(sweep)
     _add_adversary_flags(sweep)
     _add_telemetry_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
@@ -1388,7 +1374,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="fabric lease heartbeat TTL for serve-owned jobs (seconds)",
     )
-    _add_kernel_flag(serve)
     _add_telemetry_flags(serve)
     serve.set_defaults(handler=_cmd_serve)
 
@@ -1460,7 +1445,6 @@ def build_parser() -> argparse.ArgumentParser:
         "phase deltas are merged into the report)",
     )
     _add_engine_flag(profile)
-    _add_kernel_flag(profile)
     profile.add_argument(
         "--trace",
         metavar="FILE",
@@ -1504,7 +1488,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for trials (default: all cores; per-worker "
         "registry deltas merge into the dump)",
     )
-    _add_kernel_flag(metrics)
     metrics.set_defaults(handler=_cmd_metrics)
 
     trace = commands.add_parser(

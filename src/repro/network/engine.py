@@ -27,8 +27,7 @@ The backend also picks the node program, in one place
 (:func:`wants_batch_dispatch`): a protocol driver with an array-native
 port runs the port under ``"fast"`` and its scalar twin under
 ``"reference"``.  The parity suites prove each port sends exactly the
-messages of its twin, so the backend never changes a result, and
-neither does the kernel tier.
+messages of its twin, so the backend never changes a result.
 
 Both paths are trace-equivalent by construction — same delivery order,
 same metrics charges, same RNG consumption — which the test suite asserts
@@ -72,7 +71,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.network.batch import BatchProtocol, MessageBatch, ScalarAdapter
-from repro.network.kernels import get_kernels
+from repro.network.kernels import stable_receiver_order
 from repro.network.message import (
     Message,
     congest_capacity_bits,
@@ -187,7 +186,6 @@ class SynchronousEngine:
         label: str = "engine",
         backend: str | None = None,
         adversary=None,
-        kernel: str | None = None,
         *,
         tracer=None,
         profiler=None,
@@ -220,11 +218,6 @@ class SynchronousEngine:
         self.metrics = metrics
         self.label = label
         self.backend = backend
-        #: Kernel tier for the per-round array primitives (routing gather,
-        #: stable receiver sort).  ``None`` resolves the process default
-        #: (``REPRO_KERNEL``); both tiers are bit-identical, so the choice
-        #: affects wall-clock only.
-        self.kernels = get_kernels(kernel)
         #: An :class:`~repro.adversary.ArmedAdversary` (or None).  Armed
         #: state is single-use: one adversary per engine per protocol run.
         self.adversary = adversary
@@ -606,9 +599,7 @@ class SynchronousEngine:
                 senders = outbox.senders
                 ports = outbox.ports
                 _check_outbox(table, senders, ports, max_ports, round_index)
-                receiver_arr, arrival_arr = table.route(
-                    senders, ports, self.kernels
-                )
+                receiver_arr, arrival_arr = table.route(senders, ports)
                 if not object_mode and outbox.extras is not None:
                     if extra_schema is None:
                         extra_schema = tuple(
@@ -765,7 +756,7 @@ class SynchronousEngine:
         ``arrivals`` are int64 routing output, so the gathers are not
         coerced again.
         """
-        order = self.kernels.stable_receiver_order(receivers, self.topology.n)
+        order = stable_receiver_order(receivers, self.topology.n)
         return MessageBatch.from_coerced(
             senders=rows.senders[order],
             ports=arrivals[order],

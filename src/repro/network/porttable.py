@@ -109,17 +109,13 @@ class PortTable(ABC):
         return None
 
     def route(
-        self, senders: np.ndarray, ports: np.ndarray, kernels=None
+        self, senders: np.ndarray, ports: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both routing gathers at once: (receivers, arrival ports).
 
         ``senders`` must ascend, as in the engine's canonical send order
         (the engine checks it before routing a round); a table may rely
-        on that, as :class:`CyclePortTable` does.  ``kernels`` is an optional
-        :class:`~repro.network.kernels.KernelSet`; tables whose routing is
-        a memory gather (CSR) dispatch it through the compiled tier when
-        one is active.  Arithmetic tables ignore it — their numpy
-        expressions are already O(1) per row.
+        on that, as :class:`CyclePortTable` does.
         """
         receivers = self.receivers(senders, ports)
         return receivers, self.reverse_ports(senders, ports, receivers)
@@ -210,12 +206,8 @@ class CSRPortTable(PortTable):
         return self._reverse[self._offsets[senders] + ports]
 
     def route(
-        self, senders: np.ndarray, ports: np.ndarray, kernels=None
+        self, senders: np.ndarray, ports: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        if kernels is not None and kernels.is_numba:
-            return kernels.route_csr(
-                self._offsets, self._neighbors, self._reverse, senders, ports
-            )
         base = self._offsets[senders] + ports
         return self._neighbors[base], self._reverse[base]
 
@@ -416,7 +408,7 @@ class CyclePortTable(PortTable):
         return np.where(senders == lo, 0, 1).astype(np.int64)
 
     def route(
-        self, senders: np.ndarray, ports: np.ndarray, kernels=None
+        self, senders: np.ndarray, ports: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         receivers = senders + 2 * ports - 1
         arrivals = 1 - ports

@@ -255,6 +255,10 @@ class Scenario:
             raise ValueError(f"scenario {self.name!r} has sizes < 2: {self.sizes}")
         if self.trials < 1:
             raise ValueError(f"scenario {self.name!r} needs >= 1 trial")
+        if self.seed < 0:
+            raise ValueError(
+                f"scenario {self.name!r} needs a seed >= 0, got {self.seed}"
+            )
         if self.adversary is not None and self.adversary.is_null:
             object.__setattr__(self, "adversary", None)
 

@@ -12,9 +12,8 @@ always exact: ``repro sweep`` re-run with the same scenario skips straight
 to aggregation, and appending sizes to the grid only computes the new
 ones.
 
-Engine backend, kernel tier and job count are deliberately *not* part of
-the key: all three are required (and tested) to leave aggregates
-bit-identical.  So a ``fast`` run (the array-native ports) and a
+Engine backend and job count are deliberately *not* part of the key:
+both are required (and tested) to leave aggregates bit-identical.  So a ``fast`` run (the array-native ports) and a
 ``reference`` run (their scalar twins on the oracle loop) share entries.
 
 Long-lived processes (``repro serve``) can additionally enable an

@@ -55,8 +55,6 @@ class ApiError(Exception):
 
 def scenario_entry(scenario: Scenario) -> dict:
     """JSON-ready catalogue entry (``repro scenarios --json`` shape)."""
-    from repro.network.kernels import resolve_kernel
-
     return {
         "name": scenario.name,
         "protocol": scenario.protocol,
@@ -73,7 +71,6 @@ def scenario_entry(scenario: Scenario) -> dict:
         "adversary": (
             scenario.adversary.key_dict() if scenario.adversary else None
         ),
-        "kernel": resolve_kernel(),
         "description": scenario.description,
     }
 
@@ -87,13 +84,7 @@ def scenarios_payload() -> list[dict]:
 
 def protocols_payload() -> list[dict]:
     """Every registered protocol (``repro protocols --json`` shape)."""
-    from repro.network.kernels import resolve_kernel
-
-    kernel = resolve_kernel()
-    return [
-        dict(spec.describe_dict(), kernel=kernel)
-        for spec in default_registry()
-    ]
+    return [spec.describe_dict() for spec in default_registry()]
 
 
 # -- run requests --------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Process-wide telemetry context: env-driven tracer/profiler resolution.
 
 The runtime's existing configuration currency for fork/spawn workers is
-environment variables (``REPRO_ENGINE``, ``REPRO_KERNEL``, ...);
+environment variables (``REPRO_ENGINE``, ...);
 telemetry follows the same pattern so pool workers and fabric workers
 inherit the parent's choices without any new plumbing through pickled
 task tuples:

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.adversary import AdversarySpec, adversarial_inputs
+from repro.adversary import AdversarySpec, adversarial_inputs, benign_inputs
 from repro.runtime import (
     ResultStore,
     Scenario,
@@ -172,3 +172,16 @@ class TestInputSchedules:
 
     def test_null_spec_matches_benign(self):
         assert adversarial_inputs(10, 0.3, None, RandomSource(0)) == [1] * 3 + [0] * 7
+
+    @pytest.mark.parametrize("fraction", [1.5, -0.5])
+    def test_fraction_outside_unit_interval_is_refused(self, fraction):
+        # int(1.5 * 16) = 24 "ones" out of 16 nodes is no input vector.
+        with pytest.raises(ValueError, match="fraction must be in"):
+            benign_inputs(16, fraction)
+        for spec in (None, AdversarySpec(input_schedule="spread")):
+            with pytest.raises(ValueError, match="fraction must be in"):
+                adversarial_inputs(16, fraction, spec, RandomSource(0))
+
+    def test_unit_interval_ends_are_accepted(self):
+        assert benign_inputs(4, 0.0) == [0] * 4
+        assert benign_inputs(4, 1.0) == [1] * 4

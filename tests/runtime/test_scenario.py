@@ -71,6 +71,12 @@ class TestScenario:
                 topology=TopologySpec("complete"), sizes=(),
             )
 
+    def test_rejects_negative_seed(self):
+        scenario = get_scenario("ring-le/lcr")
+        with pytest.raises(ValueError, match="ring-le/lcr.*seed >= 0"):
+            scenario.with_overrides(seed=-1)
+        assert scenario.with_overrides(seed=0).seed == 0
+
     def test_with_overrides_merges_params(self):
         scenario = get_scenario("agreement/quantum")
         tweaked = scenario.with_overrides(

@@ -141,6 +141,27 @@ class TestParseRunRequest:
         assert error.value.code == "bad_overrides"
         assert "node_api" in error.value.message
 
+    def test_negative_seed_override_is_refused(self):
+        # Refused here, before a job exists: in a fabric worker,
+        # RandomSource(-1) raises in every trial.
+        with pytest.raises(ApiError) as error:
+            parse_run_request(
+                _body(
+                    {
+                        "scenario": "ring-le/lcr",
+                        "overrides": {"sizes": [16], "trials": 1, "seed": -1},
+                    }
+                )
+            )
+        assert error.value.code == "bad_overrides"
+        assert "ring-le/lcr" in error.value.message
+
+    def test_negative_seed_in_serialized_scenario_is_refused(self, make_scenario):
+        described = dict(scenario_to_dict(make_scenario()), seed=-1)
+        with pytest.raises(ApiError) as error:
+            parse_run_request(_body({"scenario": described}))
+        assert error.value.code == "bad_scenario"
+
 
 class TestCataloguePayloads:
     def test_scenarios_payload_matches_catalogue(self):
@@ -155,7 +176,8 @@ class TestCataloguePayloads:
         by_name = {entry["name"]: entry for entry in payload}
         assert "faults" in by_name["le-ring/lcr"]["supports"]
         for entry in payload:
-            assert {"name", "supports", "kernel"} <= set(entry)
+            assert {"name", "supports"} <= set(entry)
+            assert "kernel" not in entry
             json.dumps(entry)
 
 

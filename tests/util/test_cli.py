@@ -352,7 +352,6 @@ class TestEngineFlag:
         )
         assert code == 0
         out = capsys.readouterr().out
-        # The oracle loop uses no kernel tier, so none is printed.
         assert "(engine reference)" in out
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         paths = [r["path"] for r in records if r["event"] == "engine_start"]
@@ -406,7 +405,7 @@ class TestEngineFlag:
         before = dict(os.environ)
         code = main(
             ["sweep", "--scenario", "ring-le/lcr", "--sizes", "8",
-             "--trials", "1", "--jobs", "1", "--no-cache", "--kernel", "numpy",
+             "--trials", "1", "--jobs", "1", "--no-cache",
              "--engine", "reference", "--trace", str(tmp_path / "t.jsonl"),
              "--profile"]
         )
@@ -414,58 +413,34 @@ class TestEngineFlag:
         assert dict(os.environ) == before
 
 
-class TestKernelFlag:
-    def test_parser_accepts_kernel(self):
-        for command in (["elect"], ["agree"], ["sweep", "--experiment", "E1"]):
-            args = build_parser().parse_args(command + ["--kernel", "numpy"])
-            assert args.kernel == "numpy"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["elect", "--kernel", "fortran"])
+class TestNoKernelKnob:
+    """The engine's array primitives are plain numpy: nothing picks a tier."""
 
-    def test_explicit_numba_without_numba_is_exit_2(self, capsys, monkeypatch):
-        from repro.network.kernels import numba_available
+    KNOB = "kernel"
 
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        if numba_available():
-            pytest.skip("numba installed: explicit request succeeds")
-        code = main(
-            ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "16",
-             "--kernel", "numba"]
-        )
-        assert code == 2
-        assert "numba is not installed" in capsys.readouterr().err
+    def test_no_command_accepts_the_flag(self):
+        for command in (
+            ["elect"],
+            ["agree"],
+            ["sweep", "--experiment", "E1"],
+            ["serve"],
+            ["profile", "--scenario", "ring-le/lcr"],
+            ["metrics", "--scenario", "ring-le/lcr"],
+        ):
+            with pytest.raises(SystemExit) as exited:
+                build_parser().parse_args(command + [f"--{self.KNOB}", "numpy"])
+            assert exited.value.code == 2
 
-    def test_kernel_does_not_change_elect_output(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        argv = ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "32",
-                "--seed", "9"]
-        assert main(argv + ["--kernel", "numpy"]) == 0
-        numpy_out = capsys.readouterr().out
-        assert main(argv + ["--kernel", "auto"]) == 0
-        auto_out = capsys.readouterr().out
-        strip = lambda s: s.replace("kernel numpy", "").replace(
-            "kernel numba", ""
-        )
-        assert strip(numpy_out) == strip(auto_out)
-
-    def test_elect_prints_the_resolved_tier(self, capsys, monkeypatch):
-        from repro.network.kernels import numba_available
-
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_the_old_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv(f"REPRO_{self.KNOB.upper()}", "fortran")
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        if numba_available():
-            pytest.skip("numba installed: auto resolves to numba")
-        code = main(
-            ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "64",
-             "--kernel", "auto"]
-        )
+        code = main(["elect", "le-ring/lcr", "--topology", "cycle", "-n", "64"])
         assert code == 0
-        assert "(engine fast, kernel numpy)" in capsys.readouterr().out
+        assert "(engine fast)" in capsys.readouterr().out
 
 
 class TestElectSingleProtocol:
-    def test_single_protocol_run(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_single_protocol_run(self, capsys):
         code = main(
             ["elect", "le-ring/lcr", "--topology", "cycle", "-n", "24",
              "--seed", "4"]
@@ -475,8 +450,7 @@ class TestElectSingleProtocol:
         assert "le-ring/lcr on cycle, n=24" in out
         assert "success=True" in out
 
-    def test_single_protocol_default_topology(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_single_protocol_default_topology(self, capsys):
         code = main(["elect", "le-diameter2/classical", "-n", "16", "--seed", "2"])
         out = capsys.readouterr().out
         assert code == 0
@@ -510,7 +484,7 @@ class TestProtocolsCommand:
         assert by_name["mst/boruvka-engine"]["supports"] == ["adaptive", "batch", "faults"]
         assert by_name["le-ring/hs"]["batch"] is True
         assert by_name["le-general/classical"]["batch"] is False
-        assert by_name["le-ring/hs"]["kernel"] in ("numpy", "numba")
+        assert "kernel" not in by_name["le-ring/hs"]
         assert by_name["agreement/amp18-engine"]["defaults"] == {"fraction": 0.3}
 
     def test_scenarios_json_dump(self, capsys):
@@ -520,7 +494,7 @@ class TestProtocolsCommand:
         payload = json.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in payload}
         assert "node_api" not in by_name["ring-le/lcr"]
-        assert by_name["ring-le/hs"]["kernel"] in ("numpy", "numba")
+        assert "kernel" not in by_name["ring-le/hs"]
         assert by_name["ring-le-lossy/lcr"]["adversary"]["drop_rate"] == 0.02
         assert by_name["complete-le/quantum"]["sizes"] == [256, 1024, 4096]
 
@@ -554,3 +528,50 @@ class TestElectTopologies:
         captured = capsys.readouterr()
         assert "power of two" not in captured.err
         assert code in (0, 1)
+
+
+class TestInvalidArguments:
+    """A bad argument exits 2 with its reason on stderr, never with a
+    traceback: exit 1 means the run itself failed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["elect", "--seed", "-1"],
+            ["elect", "le-ring/lcr", "--topology", "cycle", "--seed", "-1"],
+            ["agree", "--seed", "-1"],
+            ["agree", "--fraction", "1.5"],
+            ["agree", "--fraction", "-0.5"],
+        ],
+    )
+    def test_parser_refuses(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_fraction_ends_are_accepted(self):
+        for text, value in (("0", 0.0), ("1", 1.0)):
+            args = build_parser().parse_args(["agree", "--fraction", text])
+            assert args.fraction == value
+
+    @pytest.mark.parametrize("command", ["sweep", "profile", "metrics"])
+    def test_negative_seed_names_the_scenario(self, command, capsys):
+        argv = [command, "--scenario", "ring-le/lcr", "--sizes", "8",
+                "--trials", "1", "--jobs", "1", "--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "ring-le/lcr" in err and "seed >= 0" in err
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["elect", "-n", "1"], "complete graph needs n >= 2"),
+            (["elect", "le-ring/lcr", "--topology", "cycle", "-n", "2"],
+             "cycle needs n >= 3"),
+            (["agree", "--n", "0"], "complete graph needs n >= 2"),
+        ],
+    )
+    def test_size_the_family_refuses(self, argv, reason, capsys):
+        assert main(argv) == 2
+        assert reason in capsys.readouterr().err
